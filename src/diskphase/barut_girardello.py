@@ -34,8 +34,9 @@ _GL_ORDER = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _factorials(count: int) -> np.ndarray:
-    return np.exp(gammaln(np.arange(count) + 1.0))
+def _inverse_factorials(count: int) -> np.ndarray:
+    """1/n! for n < count; underflows quietly to 0 where n! would overflow."""
+    return np.exp(-gammaln(np.arange(count) + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +96,21 @@ def _validated_radius(smooth: np.ndarray) -> float:
 
 def bg_function(state: FockState) -> BGFunction:
     """Representation of a plain state: no atom, g_n = conj(f_n)/n!."""
-    smooth = np.conj(state.coeffs) / _factorials(state.truncation)
+    smooth = np.conj(state.coeffs) * _inverse_factorials(state.truncation)
     return BGFunction(0.0, smooth, _validated_radius(smooth))
 
 
 def _growth_rate(smooth: np.ndarray) -> float:
-    """Exponential-type estimate limsup |n! g_n|^{1/n} of the smooth part."""
-    c = np.abs(np.asarray(smooth)) * _factorials(len(smooth))
-    n0 = max(8, len(c) // 2)
-    rates = [
-        c[n] ** (1.0 / n) for n in range(n0, len(c)) if c[n] > 0
-    ]
-    return max(rates) if rates else 0.0
+    """Exponential-type estimate limsup |n! g_n|^{1/n} of the smooth part.
+
+    Taken in logs, so n! never has to be formed.
+    """
+    c = np.abs(np.asarray(smooth))
+    n = np.arange(max(8, c.size // 2), c.size)
+    n = n[c[n] > 0]
+    if n.size == 0:
+        return 0.0
+    return float(np.exp(np.max((np.log(c[n]) + gammaln(n + 1.0)) / n)))
 
 
 def _segment_quadrature(a: complex, b: complex, panels: int):
@@ -157,9 +161,9 @@ def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
     becomes the atom 2 b_0 and b_{n} lands on u^{n-1} / (n-1)!.
     """
     n = fac.inner_coeffs.size
-    facts = _factorials(n)
-    in_smooth = fac.inner_coeffs / facts
-    out_smooth = fac.outer_coeffs[1:] / facts[:-1]
+    inv = _inverse_factorials(n)
+    in_smooth = fac.inner_coeffs * inv
+    out_smooth = fac.outer_coeffs[1:] * inv[:-1]
     u_in = BGFunction(0.0, in_smooth, _validated_radius(in_smooth))
     u_out = BGFunction(
         2.0 * complex(fac.outer_coeffs[0]), out_smooth, _validated_radius(out_smooth)

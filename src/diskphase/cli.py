@@ -306,12 +306,13 @@ def cmd_bg(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
-    report = verification.run_all()
-    results = report.results
     if args.only:
-        results = [r for r in results if args.only in r.name]
-        if not results:
+        report = verification.run_matching(args.only)
+        if not report.results:
             raise SpecError(f"no verification check matches {args.only!r}")
+    else:
+        report = verification.run_all()
+    results = report.results
     if config.fmt == "json":
         payload = {
             "elapsed_seconds": report.elapsed_seconds,
@@ -349,16 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_spec: bool = True) -> None:
-        p.add_argument("--n", type=int, default=DEFAULT_TRUNCATION,
-                       help="truncation (number of coefficients)")
-        p.add_argument("--grid", type=int, default=None,
-                       help="boundary grid size (power of two, >= 2N)")
-        p.add_argument("--outer-tol", type=float, default=1e-6)
-        p.add_argument("--edge-margin", type=float, default=1e-3)
+    def add_common(p: argparse.ArgumentParser, with_state: bool = True) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="json")
         p.add_argument("--out", type=Path, default=None)
-        if with_spec:
+        if with_state:
+            p.add_argument("--n", type=int, default=DEFAULT_TRUNCATION,
+                           help="truncation (number of coefficients)")
+            p.add_argument("--grid", type=int, default=None,
+                           help="boundary grid size (power of two, >= 2N)")
+            p.add_argument("--outer-tol", type=float, default=1e-6)
+            p.add_argument("--edge-margin", type=float, default=1e-3)
             p.add_argument("--spec", type=Path, default=None,
                            help="path to a JSON state spec")
             p.add_argument("--json", type=str, default=None,
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bg.add_argument("--tmax", type=float, default=2.0)
     p_bg.add_argument("--points", type=int, default=65)
     p_verify = sub.add_parser("verify", help="run the verification catalog")
-    add_common(p_verify, with_spec=False)
+    add_common(p_verify, with_state=False)
     p_verify.add_argument("--only", type=str, default=None,
                           help="run only checks whose name contains this")
     return parser
@@ -399,14 +400,17 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        truncation=args.n,
-        grid_size=args.grid,
-        outer_tol=args.outer_tol,
-        edge_margin=args.edge_margin,
-        fmt=args.format,
-        out=args.out,
-    )
+    if args.command == "verify":
+        config = RunConfig(fmt=args.format, out=args.out)
+    else:
+        config = RunConfig(
+            truncation=args.n,
+            grid_size=args.grid,
+            outer_tol=args.outer_tol,
+            edge_margin=args.edge_margin,
+            fmt=args.format,
+            out=args.out,
+        )
     try:
         config.validate()
         return _HANDLERS[args.command](args, config)

@@ -40,17 +40,20 @@ def midpoint_grid(grid_size: int) -> np.ndarray:
 
 
 def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """sum_n coeffs[n] e^{i n theta_j} on the midpoint grid via zero-padded FFT."""
+    """sum_n coeffs[..., n] e^{i n theta_j} on the midpoint grid via zero-padded FFT.
+
+    Works along the last axis, so each row of a 2-d array is one series.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = grid_size
-    if coeffs.size > m:
-        raise AliasingError(f"grid {m} smaller than series length {coeffs.size}")
-    a = np.zeros(m, dtype=complex)
-    a[: coeffs.size] = coeffs
+    if coeffs.shape[-1] > m:
+        raise AliasingError(f"grid {m} smaller than series length {coeffs.shape[-1]}")
+    a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
+    a[..., : coeffs.shape[-1]] = coeffs
     n = np.arange(m)
     # e^{i n theta_j} = e^{i pi n (1/M - 1)} e^{2 pi i n j / M}
-    twist = np.exp(1j * np.pi * n * (1.0 / m - 1.0))
-    return m * np.fft.ifft(a * twist)
+    a *= np.exp(1j * np.pi * n * (1.0 / m - 1.0))
+    return m * np.fft.ifft(a, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

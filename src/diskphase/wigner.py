@@ -1,11 +1,14 @@
 """Joint number-phase quasi-probability function and its closed forms.
 
-S(f; n, theta) is assembled from the finite double sum over coefficient
-pairs whose indices straddle level n (integer and half-integer diagonals of
-the coefficient outer product). It is real by construction symmetry, may go
-negative, and its marginals are the number and phase distributions. The
-equivalent circle-integral form is deliberately left to the test suite as
-an independent oracle.
+Row n of S(f; n, theta) is a trigonometric polynomial whose coefficients are
+the integer and half-integer antidiagonals of the coefficient outer product
+f (x) conj(f) that straddle level n. One table of these coefficients, built
+by a single gather, serves every evaluation: Horner at arbitrary angles, and
+the midpoint-grid FFT of `disk.circle_values` on the lattice. S is real by
+the Hermitian symmetry of the table, may go negative, and its marginals are
+the number and phase distributions. The per-level double sum and the
+equivalent circle-integral form are deliberately left to the test suite as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -16,32 +19,62 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0
 
-from .disk import default_grid_size, midpoint_grid, next_pow2
+from .disk import circle_values, default_grid_size, midpoint_grid, next_pow2
 from .errors import DiskPhaseError, DomainError, SpecError
+from .series import series_eval
 from .states import FockState, pi_superposition_norm
 from .weyl import WeylElement, apply
 
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _pair_coefficients(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier coefficients of S(n, .): even harmonics 2p, odd harmonics 2p+1."""
-    f = coeffs
-    size = f.size
-    ps = np.arange(-n, n + 1)
-    even = np.zeros(2 * n + 1, dtype=complex)
-    ok = (n - ps >= 0) & (n - ps < size) & (n + ps >= 0) & (n + ps < size)
-    even[ok] = f[n - ps[ok]] * np.conj(f[n + ps[ok]])
-    ps_odd = np.arange(-n, n)
-    odd = np.zeros(max(2 * n, 0), dtype=complex)
-    ok = (
-        (n - ps_odd - 1 >= 0)
-        & (n - ps_odd - 1 < size)
-        & (n + ps_odd >= 0)
-        & (n + ps_odd < size)
-    )
-    odd[ok] = f[n - ps_odd[ok] - 1] * np.conj(f[n + ps_odd[ok]])
-    return even, odd
+def _coefficient_table(coeffs: np.ndarray, levels: np.ndarray, top: int) -> np.ndarray:
+    """Fourier coefficients C[n, h] of 2 pi S(n, .), harmonics h = -top..top.
+
+    C[n, h] = f[n - ceil(h/2)] conj(f[n + floor(h/2)]): even h pair the
+    integer antidiagonal through level n, odd h the half-integer one. Indices
+    outside the state read zeros from the padding. C[n, -h] = conj(C[n, h]).
+    """
+    f = np.asarray(coeffs, dtype=complex)
+    rows = np.asarray(levels)[:, None]
+    h = np.arange(-top, top + 1)
+    lo = (top + 1) // 2  # largest ceil(h/2), so the lowest index lands on 0
+    size = max(f.size, int(rows.max(initial=0)) + top // 2 + 1)
+    padded = np.zeros(lo + size, dtype=complex)
+    padded[lo : lo + f.size] = f
+    right = lo + rows + h // 2
+    return padded[right - h] * np.conj(padded[right])
+
+
+def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
+    """Rows of the table summed on the midpoint grid, checked to be real.
+
+    The h >= 0 half and the conjugated h < 0 half go through the FFT
+    separately, so a table that is not Hermitian shows as imaginary residue.
+    """
+    top = table.shape[1] // 2
+    if grid_size <= top:
+        raise SpecError(f"grid {grid_size} cannot resolve harmonics up to {top}")
+    lower = np.conj(table[:, top::-1])
+    lower[:, 0] = 0.0
+    values = (
+        circle_values(table[:, top:], grid_size)
+        + np.conj(circle_values(lower, grid_size))
+    ) / (2.0 * np.pi)
+    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    if residue >= _IMAG_RESIDUE_TOL:
+        raise DiskPhaseError(
+            f"imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e}; "
+            "coefficient conjugation is suspect"
+        )
+    return np.ascontiguousarray(values.real)  # frees the complex array
+
+
+def _grid_size(truncation: int, n_max: int, grid_size: int | None) -> int:
+    """The given grid, or a power of two of at least 4 N and 4 (n_max + 1)."""
+    if grid_size is not None:
+        return int(grid_size)
+    return next_pow2(max(default_grid_size(truncation), 4 * (n_max + 1)))
 
 
 def wigner(state: FockState, n: int, theta):
@@ -49,18 +82,11 @@ def wigner(state: FockState, n: int, theta):
     if n < 0:
         raise DomainError("level n must be non-negative")
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    angles = np.atleast_1d(theta)
-    even, odd = _pair_coefficients(state.coeffs, n)
-    ps = np.arange(-n, n + 1)
-    total = np.tensordot(even, np.exp(2j * np.outer(ps, angles)), axes=(0, 0))
-    if n > 0:
-        ps_odd = np.arange(-n, n)
-        total = total + np.tensordot(
-            odd, np.exp(1j * np.outer(2 * ps_odd + 1, angles)), axes=(0, 0)
-        )
-    out = total.real / (2.0 * np.pi)
-    return float(out[0]) if scalar else out
+    top = 2 * n + 1
+    row = _coefficient_table(state.coeffs, np.array([n]), top)[0]
+    total = series_eval(row, np.exp(1j * theta)) * np.exp(-1j * top * theta)
+    out = np.real(total) / (2.0 * np.pi)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +115,7 @@ class WignerGrid:
 def wigner_grid(
     state: FockState, n_max: int | None = None, grid_size: int | None = None
 ) -> WignerGrid:
-    """Fill the lattice by the finite-sum form, then assert it is real.
+    """Fill the lattice from the coefficient table by FFT, then assert it is real.
 
     With n_max >= N - 1 both marginals are exact (the function vanishes for
     n >= N). For an exact angle marginal the grid must exceed the top
@@ -99,31 +125,9 @@ def wigner_grid(
         n_max = state.truncation - 1
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    m = (
-        next_pow2(max(default_grid_size(state.truncation), 4 * (n_max + 1)))
-        if grid_size is None
-        else int(grid_size)
-    )
-    if m <= 2 * n_max + 1:
-        raise SpecError(f"grid {m} cannot resolve harmonics up to {2 * n_max + 1}")
-    theta = midpoint_grid(m)
-    harmonics = np.arange(-(2 * n_max + 1), 2 * n_max + 2)
-    phases = np.exp(1j * np.outer(harmonics, theta))
-    coeff_matrix = np.zeros((n_max + 1, harmonics.size), dtype=complex)
-    offset = 2 * n_max + 1
-    for n in range(n_max + 1):
-        even, odd = _pair_coefficients(state.coeffs, n)
-        coeff_matrix[n, offset - 2 * n : offset + 2 * n + 1 : 2] = even
-        if n > 0:
-            coeff_matrix[n, offset - 2 * n + 1 : offset + 2 * n : 2] = odd
-    values = coeff_matrix @ phases / (2.0 * np.pi)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue >= _IMAG_RESIDUE_TOL:
-        raise DiskPhaseError(
-            f"imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e}; "
-            "coefficient conjugation is suspect"
-        )
-    return WignerGrid(n_max, theta, values.real)
+    m = _grid_size(state.truncation, n_max, grid_size)
+    table = _coefficient_table(state.coeffs, np.arange(n_max + 1), 2 * n_max + 1)
+    return WignerGrid(n_max, midpoint_grid(m), _lattice(table, m))
 
 
 def chebyshev_u(k: int, x):
@@ -232,14 +236,12 @@ def shift_covariance_check(
     shifted = apply(w, state)
     if n_max is None:
         n_max = shifted.truncation - 1
-    m = default_grid_size(shifted.truncation) if grid_size is None else int(grid_size)
-    theta = midpoint_grid(m)
-    worst = 0.0
-    for n in range(n_max + 1):
-        lhs = wigner(shifted, n, theta)
-        if n < w.m:
-            worst = max(worst, float(np.max(np.abs(lhs))))
-        else:
-            rhs = wigner(state, n - w.m, theta - w.beta)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    m = _grid_size(shifted.truncation, n_max, grid_size)
+    top = 2 * n_max + 1
+    lhs = _lattice(_coefficient_table(shifted.coeffs, np.arange(n_max + 1), top), m)
+    # rows below the shift stay zero; the rotation by beta twists harmonic h
+    # by e^{-i h beta}
+    rhs = np.zeros_like(lhs)
+    moved = _coefficient_table(state.coeffs, np.arange(n_max + 1 - w.m), top)
+    rhs[w.m :] = _lattice(moved * np.exp(-1j * w.beta * np.arange(-top, top + 1)), m)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -60,6 +60,15 @@ class TestBGFunction:
         with pytest.warns(UserWarning):
             ufn(ufn.radius_hint * 4.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_overflow_past_170_factorial(self):
+        # n! overflows a double for n > 170; 1/n! must underflow quietly
+        ufn = bg_function(make_su11_cs(0.5, 256))
+        assert np.all(np.isfinite(ufn.smooth))
+        assert laplace_to_disk(ufn, 0.3) == pytest.approx(
+            eval_Z(make_su11_cs(0.5, 256), 0.3), abs=1e-10
+        )
+
 
 class TestLaplaceToDisk:
     def test_number_state_powers(self):

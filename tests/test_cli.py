@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from diskphase import verification
 from diskphase.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC, main
 
 
@@ -191,6 +192,12 @@ class TestDataCommands:
         assert atoms["atom_out"] == [2.0, 0.0]
         assert atoms["atom_in"] == [0.0, 0.0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bg_default_truncation_warns_nothing(self, capsys):
+        code, out, _ = run(capsys, "bg", "--json", '{"kind":"su11_cs","z":[0.5,0]}')
+        assert code == EXIT_OK
+        assert len(json.loads(out)["ray"]["values"]) == 65
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -270,6 +277,55 @@ class TestExitCodes:
 
 
 class TestVerifyCommand:
+    def test_only_runs_the_matching_check(self, capsys, monkeypatch):
+        called = []
+
+        def spy(check, names):
+            def run():
+                called.append(check.__name__)
+                if "poisson-mass" not in names:
+                    raise AssertionError(f"{check.__name__} should not run")
+                return check()
+
+            return run, names
+
+        monkeypatch.setattr(
+            verification, "_CHECKS", tuple(spy(*c) for c in verification._CHECKS)
+        )
+        code, out, _ = run(capsys, "verify", "--only", "poisson", "--format", "csv")
+        assert code == EXIT_OK
+        assert called == ["check_kernels"]
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS [8] poisson-mass: residual=")
+        assert lines[1].startswith("elapsed: ")
+
+    def test_declared_names_match_the_catalog(self):
+        declared = [name for _, names in verification._CHECKS for name in names]
+        produced = [r.name for r in verification.run_all().results]
+        assert produced == declared + [verification.SUITE_RUNTIME]
+
+    def test_only_runtime_times_the_whole_catalog(self, capsys, monkeypatch):
+        called = []
+        monkeypatch.setattr(
+            verification,
+            "_CHECKS",
+            tuple(
+                (lambda c=c: called.append(c) or [], names)
+                for c, names in verification._CHECKS
+            ),
+        )
+        code, out, _ = run(capsys, "verify", "--only", "runtime", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(called) == len(verification._CHECKS)
+        assert out.splitlines()[0].startswith("PASS [9] suite-runtime: ")
+
+    def test_size_flags_rejected(self, capsys):
+        for flag in ("--n", "--grid", "--outer-tol", "--edge-margin"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", flag, "1"])
+            assert exc.value.code == EXIT_SPEC
+
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "kernel", "--format", "csv")
         assert code == EXIT_OK

@@ -1,15 +1,20 @@
 """Joint number-phase function: direct sum, grids, closed forms, covariance."""
 
+import importlib
 import math
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from diskphase import (
     IDENTITY,
+    DiskPhaseError,
     SpecError,
     WeylElement,
+    apply,
     chebyshev_u,
     closed_form,
     make_bg,
@@ -27,6 +32,9 @@ from diskphase import (
 )
 from tests.conftest import boundary_direct, normalized_states
 
+# the module, not the function of the same name the package exports
+wigner_module = importlib.import_module("diskphase.wigner")
+
 
 def integral_form(state, n, theta, quad_points=512):
     """Independent oracle: the circle-integral form evaluated by trapezoid.
@@ -39,6 +47,41 @@ def integral_form(state, n, theta, quad_points=512):
     right = boundary_direct(state, theta + phi)
     integrand = (1 + np.exp(1j * phi)) * np.exp(-2j * n * phi) * np.conj(left) * right
     return float(np.real(np.mean(integrand) / (2 * np.pi)))
+
+
+def pair_coefficients(coeffs, n):
+    """Fourier coefficients of S(n, .): even harmonics 2p, odd harmonics 2p+1."""
+    f = coeffs
+    size = f.size
+    ps = np.arange(-n, n + 1)
+    even = np.zeros(2 * n + 1, dtype=complex)
+    ok = (n - ps >= 0) & (n - ps < size) & (n + ps >= 0) & (n + ps < size)
+    even[ok] = f[n - ps[ok]] * np.conj(f[n + ps[ok]])
+    ps_odd = np.arange(-n, n)
+    odd = np.zeros(max(2 * n, 0), dtype=complex)
+    ok = (
+        (n - ps_odd - 1 >= 0)
+        & (n - ps_odd - 1 < size)
+        & (n + ps_odd >= 0)
+        & (n + ps_odd < size)
+    )
+    odd[ok] = f[n - ps_odd[ok] - 1] * np.conj(f[n + ps_odd[ok]])
+    return even, odd
+
+
+def dense_sum(state, n, theta):
+    """Independent oracle: the per-level finite double sum, one level at a
+    time, against explicit phase tables (no coefficient table, no FFT)."""
+    angles = np.atleast_1d(np.asarray(theta, dtype=float))
+    even, odd = pair_coefficients(state.coeffs, n)
+    ps = np.arange(-n, n + 1)
+    total = np.tensordot(even, np.exp(2j * np.outer(ps, angles)), axes=(0, 0))
+    if n > 0:
+        ps_odd = np.arange(-n, n)
+        total = total + np.tensordot(
+            odd, np.exp(1j * np.outer(2 * ps_odd + 1, angles)), axes=(0, 0)
+        )
+    return total.real / (2.0 * np.pi)
 
 
 class TestDirectSum:
@@ -89,7 +132,7 @@ class TestGrid:
         grid = wigner_grid(s, n_max=10, grid_size=128)
         for n in (0, 3, 10):
             np.testing.assert_allclose(
-                grid.values[n], wigner(s, n, grid.theta), atol=1e-13
+                grid.values[n], dense_sum(s, n, grid.theta), atol=1e-13
             )
 
     def test_number_marginal_exact(self):
@@ -106,6 +149,13 @@ class TestGrid:
             grid.phase_marginal(), phase_distribution(s, 256), atol=1e-6
         )
 
+    def test_conjugation_fault_caught(self):
+        # harmonic +1 without its conjugate at -1: the rows come out complex
+        table = np.zeros((1, 5), dtype=complex)
+        table[0, 3] = 0.2j
+        with pytest.raises(DiskPhaseError, match="imaginary residue"):
+            wigner_module._lattice(table, 8)
+
     def test_grid_too_small_rejected(self):
         with pytest.raises(SpecError):
             wigner_grid(make_number(0, 16), n_max=16, grid_size=32)
@@ -115,6 +165,70 @@ class TestGrid:
         s = superpose([make_number(0, 8), make_number(1, 8)], [1, 1])
         grid = wigner_grid(s, n_max=4, grid_size=64)
         assert grid.values.min() < -1e-3
+
+
+@st.composite
+def lattice_cases(draw):
+    """A state, a top level and a grid that resolves it: at the default size,
+    or narrow (2 n_max + 1 < M < 4 n_max + 3, as for `--n 256 --grid 512`)."""
+    state = draw(normalized_states(min_size=1, max_size=16))
+    n_max = draw(st.integers(0, state.truncation + 3))
+    narrow = draw(st.booleans())
+    grid = draw(st.integers(2 * n_max + 2, 4 * n_max + 2)) if narrow else None
+    return state, n_max, grid
+
+
+class TestAgainstDenseSum:
+    """Every evaluation of the coefficient table against the per-level sum."""
+
+    @given(lattice_cases(), st.floats(-4.0, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_pointwise_and_grid(self, case, angle):
+        state, n_max, grid_size = case
+        grid = wigner_grid(state, n_max=n_max, grid_size=grid_size)
+        theta = np.array([angle, -np.pi, 0.0, 2.5])
+        for n in range(n_max + 1):
+            np.testing.assert_allclose(
+                grid.values[n], dense_sum(state, n, grid.theta), rtol=0, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                wigner(state, n, theta), dense_sum(state, n, theta), rtol=0, atol=1e-13
+            )
+            assert wigner(state, n, angle) == pytest.approx(
+                float(dense_sum(state, n, angle)[0]), rel=0, abs=1e-13
+            )
+
+    @given(
+        lattice_cases(),
+        st.integers(0, 3),
+        st.floats(-np.pi, np.pi),
+        st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shift_covariance_sides(self, case, m, beta, gamma):
+        state, n_max, grid_size = case
+        w = WeylElement(m, beta, gamma)
+        sides = []
+        real_lattice = wigner_module._lattice
+
+        def record(table, size):
+            sides.append(real_lattice(table, size))
+            return sides[-1]
+
+        with mock.patch.object(wigner_module, "_lattice", record):
+            deviation = shift_covariance_check(state, w, n_max, grid_size)
+        lhs, rhs = sides
+        theta = midpoint_grid(lhs.shape[1])
+        shifted = apply(w, state)
+        for n in range(n_max + 1):
+            np.testing.assert_allclose(
+                lhs[n], dense_sum(shifted, n, theta), rtol=0, atol=1e-13
+            )
+        for n in range(m, n_max + 1):
+            np.testing.assert_allclose(
+                rhs[n - m], dense_sum(state, n - m, theta - beta), rtol=0, atol=1e-13
+            )
+        assert deviation < 1e-13
 
 
 class TestChebyshev:
