@@ -3,8 +3,15 @@
 The outer (minimum-phase) part is exp of the analytic completion of
 ln|boundary|, obtained cepstrally: Fourier-analyse the sampled log-modulus,
 keep the analytic half, exponentiate the resulting Taylor series. The inner
-(all-pass) part follows by coefficient deconvolution, and its disk zeros are
-extracted from the coefficient polynomial via companion-matrix eigenvalues.
+(all-pass) part follows by coefficient deconvolution. Its disk zeros are
+the roots of the coefficient polynomial inside |z| < r = 1 - edge_margin.
+After the tail of l1 mass <= eps * max|f| is dropped, the argument
+principle counts the zeros inside |z| = 1 and |z| = r, the contour power
+sums on |z| = r give a k x k Hankel pencil for the k zeros, and Newton
+polishes them on the polynomial. Companion-matrix eigenvalues of the
+trimmed polynomial are the fallback whenever that result is not certified:
+a non-integer count, differing counts (a root in the edge annulus), k > 32,
+Newton failing, a zero leaving |z| < r or two zeros coinciding.
 
 Quadrature of ln|boundary| is the one genuinely lossy step: states whose
 boundary function vanishes somewhere on the circle (integrable log
@@ -26,8 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import BoundarySamples, boundary, circle_values, default_grid_size
-from .errors import DomainError, SpecError
+from .disk import (
+    BoundarySamples,
+    boundary,
+    circle_values,
+    default_grid_size,
+    midpoint_grid,
+)
+from .errors import DomainError, IllConditionedError, SpecError
 from .series import series_div, series_exp, series_mul
 from .states import FockState
 
@@ -38,6 +51,14 @@ _CLUSTER_RADIUS = 1e-7
 # leading coefficients at or below this (relative) size count as an exact
 # monomial factor rather than a tiny Blaschke zero
 _MONOMIAL_EPS = 1e-14
+_EPS = float(np.finfo(float).eps)
+# certificate of the contour zero solve; failing any part falls back to
+# companion-matrix eigenvalues
+_COUNT_TOL = 1e-6
+_MAX_CONTOUR_ZEROS = 32
+_MIN_CONTOUR_GRID = 1024
+_NEWTON_STEPS = 50
+_NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +179,84 @@ def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
     return [(complex(np.mean(ms)), len(ms)) for ms in clusters]
 
 
+def _trim_tail(poly: np.ndarray, scale: float) -> np.ndarray:
+    """Drop the trailing coefficients whose l1 mass is <= eps * scale."""
+    tail = np.cumsum(np.abs(poly[::-1]))[::-1]
+    return poly[: int(np.count_nonzero(tail > _EPS * scale))]
+
+
+def _winding(
+    poly: np.ndarray, radius: float, grid: int
+) -> tuple[complex, np.ndarray]:
+    """Zero count inside |z| = radius and the samples of z Z'/Z there.
+
+    The count is the mean of z Z'/Z over the circle (argument principle).
+    """
+    scaled = poly * radius ** np.arange(poly.size)
+    values = circle_values(scaled, grid)
+    log_derivative = circle_values(np.arange(poly.size) * scaled, grid) / values
+    return complex(np.mean(log_derivative)), log_derivative
+
+
+def _newton(poly: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Newton-polish the roots `z` of sum poly[n] z^n; None if one fails."""
+    n = np.arange(poly.size)
+    dpoly = n[1:] * poly[1:]
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            powers = z[:, None] ** n
+            step = (powers @ poly) / (powers[:, :-1] @ dpoly)
+            z = z - step
+            if np.all(np.abs(step) <= _NEWTON_TOL):
+                powers = z[:, None] ** n
+                return z - (powers @ poly) / (powers[:, :-1] @ dpoly)
+    return None
+
+
+def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
+    """The zeros of sum poly[n] z^n inside |z| < radius, or None when unsure.
+
+    Counts the zeros inside |z| = 1 and |z| = radius by the argument
+    principle, takes the power sums s_j = mean(z^j z Z'/Z) on |z| = radius
+    and solves the k x k Hankel pencil (H1 - lambda H0) for the k zeros
+    (Delves & Lyness 1967; Kravanja & Van Barel 2000), then Newton-polishes
+    them on the polynomial. None means the certificate failed: a count is
+    not an integer, a zero lies between the circles, k is large, Newton
+    does not converge, a zero leaves |z| < radius, or two zeros coincide.
+    """
+    if not 0.0 < radius < 1.0:
+        return None
+    grid = max(default_grid_size(poly.size), _MIN_CONTOUR_GRID)
+    with np.errstate(all="ignore"):
+        outer_count, _ = _winding(poly, 1.0, grid)
+        count, log_derivative = _winding(poly, radius, grid)
+    if not np.isfinite(count + outer_count):  # Z vanishes at a grid point
+        return None
+    k = round(count.real)
+    if (
+        abs(count - k) > _COUNT_TOL
+        or abs(outer_count - k) > _COUNT_TOL
+        or k > _MAX_CONTOUR_ZEROS
+    ):
+        return None
+    if k == 0:
+        return np.array([], dtype=complex)
+    z = radius * np.exp(1j * midpoint_grid(grid))
+    sums = np.mean(z ** np.arange(2 * k)[:, None] * log_derivative, axis=1)
+    hankel = sums[np.add.outer(np.arange(k), np.arange(k + 1))]
+    try:
+        seeds = np.linalg.eigvals(np.linalg.solve(hankel[:, :k], hankel[:, 1:]))
+    except np.linalg.LinAlgError:
+        return None
+    roots = _newton(poly, seeds)
+    if roots is None or np.any(np.abs(roots) >= radius):
+        return None
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(k)
+    if np.any(gaps <= _CLUSTER_RADIUS):
+        return None
+    return roots
+
+
 def blaschke_zeros(
     state: FockState, edge_margin: float = DEFAULT_EDGE_MARGIN
 ) -> DiskZeros:
@@ -166,7 +265,10 @@ def blaschke_zeros(
     Exact leading zero coefficients are reported as a root at the origin
     (the monomial factor). Roots in the annulus 1 - edge_margin <= |z| < 1
     are listed separately: at that distance they cannot be told apart from
-    truncation artifacts.
+    truncation artifacts. The tail of l1 mass <= eps * max|f| is dropped
+    first; the disk zeros come from `_contour_zeros` when its certificate
+    holds and from the companion-matrix eigenvalues of the trimmed
+    polynomial otherwise.
     """
     poly = np.conj(state.coeffs)
     scale = float(np.max(np.abs(poly)))
@@ -175,10 +277,18 @@ def blaschke_zeros(
     lead = 0
     while abs(poly[lead]) <= _MONOMIAL_EPS * scale:
         lead += 1
-    trimmed = np.trim_zeros(poly[lead:], trim="b")
-    roots = np.roots(trimmed[::-1]) if trimmed.size > 1 else np.array([])
-    inside = roots[np.abs(roots) < 1.0 - edge_margin]
-    edge = roots[(np.abs(roots) >= 1.0 - edge_margin) & (np.abs(roots) < 1.0)]
+    trimmed = _trim_tail(poly[lead:], scale)
+    radius = 1.0 - edge_margin
+    roots = _contour_zeros(trimmed, radius)
+    if roots is None:
+        try:
+            roots = np.roots(trimmed[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(
+                f"companion-matrix root solve failed: {exc}"
+            ) from exc
+    inside = roots[np.abs(roots) < radius]
+    edge = roots[(np.abs(roots) >= radius) & (np.abs(roots) < 1.0)]
     zeros = _cluster(inside)
     if lead:
         zeros.insert(0, (0.0 + 0.0j, lead))

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diskphase
 from diskphase import verification
 from diskphase.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC, main
 
@@ -119,6 +124,46 @@ class TestFactorCommand:
         assert rep["outer_defect"] is None
         inner = [complex(re, im) for re, im in rep["inner_coeffs"]]
         assert inner[3] == pytest.approx(1.0, abs=1e-10)
+
+
+    def test_subnormal_tail_state(self, capsys):
+        code, out, err = run(capsys, "factor", "--json", '{"kind":"bg","u":[1,0]}')
+        assert code == EXIT_OK and err == ""
+        rep = json.loads(out)
+        assert rep["zeros"] == [] and rep["outer"] is True
+
+    def test_root_solve_failure_is_numeric_exit(self, capsys, monkeypatch):
+        def broken_roots(p):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np, "roots", broken_roots)
+        spec = json.dumps(
+            {
+                "kind": "superpose",
+                "components": [{"kind": "number", "m": 0}, {"kind": "number", "m": 3}],
+                "amplitudes": [[1, 0], [1, 0]],
+            }
+        )
+        code, out, err = run(capsys, "factor", "--json", spec, "--n", "64")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric precondition violated")
+        assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_linalg_out():
+    """The package's linear algebra is numpy-only; scipy.linalg costs tens of
+    milliseconds per CLI process."""
+    src = str(Path(diskphase.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, diskphase.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestDataCommands:

@@ -10,6 +10,7 @@ from scipy.special import i0
 
 from diskphase import (
     DomainError,
+    IllConditionedError,
     blaschke_factor,
     blaschke_product,
     blaschke_zeros,
@@ -30,8 +31,12 @@ from diskphase import (
     refined_phi,
     superpose,
 )
+from diskphase import verification as ver
 from diskphase.disk import circle_values
+from diskphase.factorization import DEFAULT_EDGE_MARGIN
 from diskphase.series import series_eval, series_exp, series_mul
+
+from tests.conftest import normalized_states
 
 
 def vacuum_plus(m, n):
@@ -195,6 +200,164 @@ class TestBlaschkeZeros:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             blaschke_zeros(raw_state(np.zeros(4)), 0.1)
+
+
+class TestContourExtraction:
+    """Cases that the k-zero contour solve and its fallback must get right."""
+
+    @pytest.mark.parametrize("gamma", [0.4j, 0.3, -0.5 + 0.2j])
+    def test_double_zero_not_split(self, gamma):
+        state = raw_state(np.conj(blaschke_product([(gamma, 2)], 128)))
+        zeros = blaschke_zeros(state).zeros
+        assert len(zeros) == 1 and zeros[0][1] == 2
+        assert abs(zeros[0][0] - gamma) < 1e-12
+
+    @pytest.mark.parametrize("u", [0.5, 1.0, 2.0, 1j])
+    def test_subnormal_tail_bg_is_outer(self, u):
+        fac = factorize(make_bg(u, 256))
+        assert fac.zeros == () and fac.monomial_degree == 0
+        assert fac.outer_defect < 1e-6
+
+    def test_subnormal_tail_coherent(self):
+        assert blaschke_zeros(make_su11_cs(0.5, 1070)).zeros == ()
+
+    def test_fallback_linalg_error_reraised(self, monkeypatch):
+        def broken_roots(p):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np, "roots", broken_roots)
+        # boundary zeros make the two contour counts disagree: fallback path
+        with pytest.raises(IllConditionedError):
+            blaschke_zeros(vacuum_plus(3, 64))
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [[-0.3j, 1.45], [-0.3j, -0.29j], [-0.3j, 1e30]],
+        ids=["leaves-disk", "same-zero", "not-converged"],
+    )
+    def test_bad_pencil_seeds_fall_back(self, seeds, monkeypatch):
+        """Seeds that Newton takes outside |z| < 1 - margin, onto one zero
+        twice, or that it cannot bring in within its step budget fail the
+        certificate; the companion solve then finds both zeros."""
+        poly = np.convolve(np.convolve([-0.5, 1.0], [0.3j, 1.0]), [1.0, -1 / 1.5])
+        state = raw_state(np.conj(poly) / np.linalg.norm(poly))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(seeds))
+        zeros = sorted(blaschke_zeros(state).zeros, key=lambda z: z[0].real)
+        assert [p for _, p in zeros] == [1, 1]
+        assert abs(zeros[0][0] + 0.3j) < 1e-12 and abs(zeros[1][0] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_catalog_zero_checks_at_large_truncation(self, n):
+        """The catalog's zero-blaschke and zero-superposition checks at the
+        CLI default and at library size, with the pinned tolerances."""
+        zeros = blaschke_zeros(make_blaschke_state(0.5, n)).zeros
+        assert len(zeros) == 1 and zeros[0][1] == 1
+        assert abs(zeros[0][0] - 0.5) <= ver.TOL_ZERO_BLASCHKE
+        tau = 3 * math.pi / 4
+        zeros = blaschke_zeros(make_pi_superposition(0.8, tau, n)).zeros
+        assert len(zeros) == 1 and zeros[0][1] == 1
+        gamma = 1j / math.tan(tau / 2) / 0.8
+        assert abs(zeros[0][0] - gamma) <= ver.TOL_ZERO_SUPERPOSITION
+
+    def test_slow_decay_outer_state_at_library_size(self):
+        fac = factorize(make_su11_cs(0.97, 1024))
+        assert fac.zeros == () and fac.near_edge == ()
+        assert fac.outer_defect < 1e-6
+
+
+# --- np.roots oracle ----------------------------------------------------------
+
+
+def roots_oracle(state, edge_margin=DEFAULT_EDGE_MARGIN):
+    """Roots of the untrimmed coefficient polynomial, split as
+    blaschke_zeros splits them: the roots inside |z| < 1 - edge_margin, and
+    the count of roots in the annulus 1 - edge_margin <= |z| < 1."""
+    roots = np.roots(np.conj(state.coeffs)[::-1])
+    mods = np.abs(roots)
+    inside = roots[mods < 1.0 - edge_margin]
+    return inside, int(np.count_nonzero((mods >= 1.0 - edge_margin) & (mods < 1.0)))
+
+
+def assert_matches_oracle(state):
+    with np.errstate(all="ignore"):
+        try:
+            inside, edge_count = roots_oracle(state)
+        except np.linalg.LinAlgError:
+            return  # the oracle itself fails on a subnormal tail
+    found = blaschke_zeros(state)
+    assert len(found.near_edge) == edge_count
+    reported = [g for g, p in found.zeros for _ in range(p)]
+    assert len(reported) == inside.size
+    for root in inside:
+        distances = [abs(root - g) for g in reported]
+        nearest = int(np.argmin(distances))
+        assert distances[nearest] < 1e-8, (root, found.zeros)
+        reported.pop(nearest)
+
+
+def series_product_state(gammas, rhos, n):
+    """Blaschke product of the gammas times the outer polynomial
+    prod (1 - z/rho), cut at N."""
+    series = blaschke_product([(g, 1) for g in gammas], n)
+    for rho in rhos:
+        series = series_mul(series, [1.0, -1.0 / rho], n)
+    return raw_state(np.conj(series) / np.linalg.norm(series))
+
+
+def admissible(points, gap=0.05):
+    """Pairwise at least `gap` apart, and prod |gamma| far above the
+    monomial threshold, so no leading coefficient reads as a zero at 0."""
+    return math.prod(abs(g) for g in points) > 1e-10 and all(
+        abs(a - b) >= gap for i, a in enumerate(points) for b in points[:i]
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.05, 0.99), st.floats(-math.pi, math.pi)),
+        max_size=13,
+    ),
+    st.lists(
+        st.tuples(st.floats(1.2, 4.0), st.floats(-math.pi, math.pi)),
+        max_size=3,
+    ),
+    st.sampled_from([64, 128, 256]),
+)
+@settings(max_examples=25, deadline=None)
+def test_series_products_match_roots_oracle(zeros, outer, n):
+    gammas = [r * np.exp(1j * a) for r, a in zeros]
+    assume(admissible(gammas))
+    rhos = [r * np.exp(1j * a) for r, a in outer]
+    assert_matches_oracle(series_product_state(gammas, rhos, n))
+
+
+@given(normalized_states(min_size=2, max_size=48))
+@settings(max_examples=25, deadline=None)
+def test_dense_states_match_roots_oracle(state):
+    # np.roots has backward error eps relative to the top coefficient; below
+    # that its roots are noise (the trimmed polynomial is the better answer)
+    top = np.trim_zeros(state.coeffs, "b")[-1]
+    assume(abs(top) > 1e-8 * np.max(np.abs(state.coeffs)))
+    assert_matches_oracle(state)
+
+
+def test_seeded_sweep_matches_roots_oracle():
+    rng = np.random.default_rng(2024)
+
+    def point(rmin, rmax):
+        return rng.uniform(rmin, rmax) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+
+    cases = [(64, k) for k in range(14)] + [(128, k) for k in (0, 3, 7, 13)]
+    cases += [(256, k) for k in (0, 5, 13)] + [(512, 4)]
+    for n, k in cases:
+        gammas = [point(0.05, 0.99) for _ in range(k)]
+        while not admissible(gammas):
+            gammas = [point(0.05, 0.99) for _ in range(k)]
+        rhos = [point(1.2, 4.0) for _ in range(3)]
+        assert_matches_oracle(series_product_state(gammas, rhos, n))
+    for n in (8, 24, 64, 128):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert_matches_oracle(raw_state(c / np.linalg.norm(c)))
 
 
 class TestBlaschkeProduct:
