@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, i0, k0
 
 from .errors import DomainError, IllConditionedError
 from .factorization import FactoredState
@@ -34,9 +33,14 @@ _GL_ORDER = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! elementwise, from math.lgamma (scipy.special stays unloaded)."""
+    return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+
+
 def _inverse_factorials(count: int) -> np.ndarray:
     """1/n! for n < count; underflows quietly to 0 where n! would overflow."""
-    return np.exp(-gammaln(np.arange(count) + 1.0))
+    return np.exp(-_log_factorial(np.arange(count)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +114,7 @@ def _growth_rate(smooth: np.ndarray) -> float:
     n = n[c[n] > 0]
     if n.size == 0:
         return 0.0
-    return float(np.exp(np.max((np.log(c[n]) + gammaln(n + 1.0)) / n)))
+    return float(np.exp(np.max((np.log(c[n]) + _log_factorial(n)) / n)))
 
 
 def _segment_quadrature(a: complex, b: complex, panels: int):
@@ -231,4 +235,6 @@ def bg_measure_weight(u: complex) -> float:
     a = abs(complex(u))
     if a == 0.0:
         raise DomainError("weight is singular at u = 0 (integrable); avoid the point")
-    return float(2.0 / np.pi * k0(2.0 * a) * i0(2.0 * a))
+    from scipy.special import k0  # a ~0.3 s import, so loaded only here
+
+    return float(2.0 / np.pi * k0(2.0 * a) * np.i0(2.0 * a))

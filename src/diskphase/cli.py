@@ -78,16 +78,45 @@ class RunConfig:
         )
 
 
+def _as_real(value) -> float:
+    """A JSON number as a float; booleans and ints past the float range fail."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SpecError(f"expected a real number, got {value!r}")
+
+
+def _as_int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecError(f"expected an integer, got {value!r}")
+
+
+def _as_list(value) -> list:
+    if isinstance(value, list):
+        return value
+    raise SpecError(f"expected a list, got {value!r}")
+
+
 def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise SpecError(f"expected a number or [re, im] pair, got {value!r}")
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    try:
+        return complex(*map(_as_real, value)) if pair else complex(_as_real(value))
+    except SpecError:
+        raise SpecError(f"expected a number or [re, im] pair, got {value!r}") from None
+
+
+def _field(spec: dict, key: str, convert):
+    """spec[key] passed through one of the converters above."""
+    if key not in spec:
+        kind = spec["kind"]
+        raise SpecError(f"state spec of kind {kind!r} is missing field {key!r}")
+    try:
+        return convert(spec[key])
+    except SpecError as exc:
+        raise SpecError(f"field {key!r}: {exc}") from None
 
 
 def parse_state_spec(spec, truncation: int) -> FockState:
@@ -95,29 +124,28 @@ def parse_state_spec(spec, truncation: int) -> FockState:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("state spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        if kind == "number":
-            return make_number(int(spec["m"]), truncation)
-        if kind == "su11_cs":
-            return make_su11_cs(_as_complex(spec["z"]), truncation)
-        if kind == "bg":
-            return make_bg(_as_complex(spec["u"]), truncation)
-        if kind == "blaschke":
-            return make_blaschke_state(_as_complex(spec["z"]), truncation)
-        if kind == "pi_superposition":
-            return make_pi_superposition(
-                _as_complex(spec["z"]), float(spec["tau"]), truncation
-            )
-        if kind == "raw":
-            return raw_state(np.array([_as_complex(c) for c in spec["coeffs"]]))
-        if kind == "superpose":
-            parts = [
-                parse_state_spec(sub, truncation) for sub in spec["components"]
-            ]
-            amps = [_as_complex(a) for a in spec["amplitudes"]]
-            return superpose(parts, amps)
-    except KeyError as exc:
-        raise SpecError(f"state spec of kind {kind!r} is missing field {exc}") from exc
+    if kind == "number":
+        return make_number(_field(spec, "m", _as_int), truncation)
+    if kind == "su11_cs":
+        return make_su11_cs(_field(spec, "z", _as_complex), truncation)
+    if kind == "bg":
+        return make_bg(_field(spec, "u", _as_complex), truncation)
+    if kind == "blaschke":
+        return make_blaschke_state(_field(spec, "z", _as_complex), truncation)
+    if kind == "pi_superposition":
+        return make_pi_superposition(
+            _field(spec, "z", _as_complex), _field(spec, "tau", _as_real), truncation
+        )
+    if kind == "raw":
+        coeffs = _field(spec, "coeffs", _as_list)
+        return raw_state(np.array([_as_complex(c) for c in coeffs]))
+    if kind == "superpose":
+        parts = [
+            parse_state_spec(sub, truncation)
+            for sub in _field(spec, "components", _as_list)
+        ]
+        amps = [_as_complex(a) for a in _field(spec, "amplitudes", _as_list)]
+        return superpose(parts, amps)
     raise SpecError(f"unknown state kind {kind!r}")
 
 
@@ -132,8 +160,9 @@ def parse_weyl(text: str) -> weyl_mod.WeylElement:
         raise SpecError(f"bad weyl element {text!r}: {exc}") from exc
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(z) -> list:
+    """[re, im] for a complex scalar, a list of such pairs for an array."""
+    return np.stack([np.real(z), np.imag(z)], -1).tolist()
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -163,7 +192,7 @@ def _load_spec(args) -> dict:
         raise SpecError("provide a state via --spec FILE or --json 'SPEC'")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SpecError(f"invalid JSON spec: {exc}") from exc
 
 
@@ -179,17 +208,15 @@ def cmd_state(args, config: RunConfig) -> int:
     dist = number_distribution(state)
     if config.fmt == "json":
         payload = {
-            "coeffs": [_pair(c) for c in state.coeffs],
+            "coeffs": _pairs(state.coeffs),
             "norm_defect": float(state.norm_defect),
-            "number_distribution": [float(p) for p in dist],
+            "number_distribution": dist.tolist(),
             "truncation": state.truncation,
         }
         _emit(_json_text(payload), config.out)
     else:
-        rows = [
-            (n, float(c.real), float(c.imag), float(p))
-            for n, (c, p) in enumerate(zip(state.coeffs, dist))
-        ]
+        c = state.coeffs
+        rows = zip(range(c.size), c.real.tolist(), c.imag.tolist(), dist.tolist())
         text = f"# norm_defect={state.norm_defect!r}\n" + _csv_text(
             ["n", "re_coeff", "im_coeff", "probability"], rows
         )
@@ -218,16 +245,16 @@ def cmd_phase_dist(args, config: RunConfig) -> int:
     density = np.abs(samples.values) ** 2 / (2.0 * np.pi)
     if config.fmt == "json":
         payload = {
-            "theta": [float(t) for t in samples.theta],
-            "boundary_values": [_pair(v) for v in samples.values],
-            "phase_density": [float(p) for p in density],
+            "theta": samples.theta.tolist(),
+            "boundary_values": _pairs(samples.values),
+            "phase_density": density.tolist(),
         }
         _emit(_json_text(payload), config.out)
     else:
-        rows = [
-            (float(t), float(v.real), float(v.imag), float(p))
-            for t, v, p in zip(samples.theta, samples.values, density)
-        ]
+        v = samples.values
+        rows = zip(
+            samples.theta.tolist(), v.real.tolist(), v.imag.tolist(), density.tolist()
+        )
         _emit(
             _csv_text(["theta", "re_theta_fn", "im_theta_fn", "phase_density"], rows),
             config.out,
@@ -255,18 +282,19 @@ def cmd_wigner(args, config: RunConfig) -> int:
     if config.fmt == "json":
         payload = {
             "n_max": grid.n_max,
-            "theta": [float(t) for t in grid.theta],
-            "values": [[float(v) for v in row] for row in grid.values],
+            "theta": grid.theta.tolist(),
+            "values": grid.values.tolist(),
             "number_marginal_residual": num_residual,
             "phase_marginal_residual": phase_residual,
         }
         _emit(_json_text(payload), config.out)
     else:
-        rows = [
-            (n, float(t), float(grid.values[n, j]))
-            for n in range(grid.n_max + 1)
-            for j, t in enumerate(grid.theta)
-        ]
+        theta = grid.theta.tolist()
+        rows = (
+            (n, t, v)
+            for n, row in enumerate(grid.values.tolist())
+            for t, v in zip(theta, row)
+        )
         _emit(_csv_text(["n", "theta", "s"], rows), config.out)
     return EXIT_OK
 
@@ -280,25 +308,23 @@ def cmd_bg(args, config: RunConfig) -> int:
     u_in, u_out = bg.bg_factor_parts(fac)
     ts = np.linspace(0.0, args.tmax, args.points)
     ray = ts * np.exp(1j * args.arg)
-    values = [complex(u_fn(u)) for u in ray]
+    values = np.array([complex(u_fn(u)) for u in ray])
     atoms = {
-        "atom_in": _pair(u_in.atom),
-        "atom_out": _pair(u_out.atom),
+        "atom_in": _pairs(u_in.atom),
+        "atom_out": _pairs(u_out.atom),
     }
     if config.fmt == "json":
         payload = {
             "ray": {
-                "t": [float(t) for t in ts],
-                "u": [_pair(u) for u in ray],
-                "values": [_pair(v) for v in values],
+                "t": ts.tolist(),
+                "u": _pairs(ray),
+                "values": _pairs(values),
             },
             "factor_atoms": atoms,
         }
         _emit(_json_text(payload), config.out)
     else:
-        rows = [
-            (float(t), float(v.real), float(v.imag)) for t, v in zip(ts, values)
-        ]
+        rows = zip(ts.tolist(), values.real.tolist(), values.imag.tolist())
         _emit(_csv_text(["t", "re_u", "im_u"], rows), config.out)
         # factor-part atoms always accompany the ray as a JSON block
         sys.stdout.write(_json_text(atoms))

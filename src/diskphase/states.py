@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0
 
 from .errors import (
     DegenerateSuperpositionError,
@@ -50,6 +49,10 @@ class FockState:
         if c.ndim != 1 or c.size < 1:
             raise SpecError("coefficient vector must be non-empty and 1-d")
         object.__setattr__(self, "coeffs", c)
+        if not np.all(np.isfinite(c)):
+            raise SpecError("coefficients must be finite")
+        if not math.isfinite(self.norm_defect):
+            raise SpecError("norm_defect must be finite")
         if self.norm_defect < -_NORM_SLACK:
             raise SpecError("norm_defect must be non-negative")
         if float(np.sum(np.abs(c) ** 2)) > 1.0 + _NORM_SLACK:
@@ -121,10 +124,13 @@ def make_bg(u0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockState:
         raise TruncationError(
             f"truncation {truncation} too small for |u0|={a:.4g} (tail bound)"
         )
+    # I0(2|u0|) grows as e^{2|u0|}, past the float range beyond ln(max) = 709.78
+    if 2.0 * a > math.log(np.finfo(float).max):
+        raise IllConditionedError(f"|u0|={a:.4g} too large: I0(2|u0|) overflows")
     n = np.arange(truncation, dtype=float)
     ratios = np.ones(truncation, dtype=complex)
     ratios[1:] = u0 / n[1:]
-    c = np.cumprod(ratios) / math.sqrt(i0(2.0 * a))
+    c = np.cumprod(ratios) / math.sqrt(np.i0(2.0 * a))
     defect = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
     return FockState(c, defect)
 

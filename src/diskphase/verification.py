@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import k0
 
 from . import barut_girardello as bg
 from . import factorization as fz
@@ -421,6 +420,8 @@ def check_bg_bridge() -> list[CheckResult]:
 
 def _identity_resolution_residual(n_top: int) -> float:
     """Radial x angular quadrature of the overcomplete-basis identity."""
+    from scipy.special import k0  # a ~0.3 s import, so loaded only here
+
     nodes, weights = np.polynomial.legendre.leggauss(64)
     edges = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 40.0]
     ts, ws = [], []

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0
 
 from .disk import circle_values, default_grid_size, midpoint_grid, next_pow2
 from .errors import DiskPhaseError, DomainError, SpecError
@@ -186,7 +185,7 @@ def closed_form(kind: str, params: dict, n: int, theta):
         val = c ** (2 * n) / math.factorial(2 * n)
         if n > 0:
             val = val + c ** (2 * n - 1) / math.factorial(2 * n - 1)
-        out = val / (2.0 * np.pi * i0(2.0 * a))
+        out = val / (2.0 * np.pi * np.i0(2.0 * a))
     elif kind == "blaschke":
         z = complex(params["z"])
         r, phase = abs(z), math.atan2(z.imag, z.real)

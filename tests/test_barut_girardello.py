@@ -26,6 +26,7 @@ from diskphase import (
     shift,
     superpose,
 )
+from diskphase import barut_girardello as bg_module
 from diskphase.series import series_eval
 
 
@@ -244,6 +245,38 @@ class TestShiftedIntegrals:
                 assert bg_shifted_from_outer(u_out, m, u) == pytest.approx(
                     bg_shifted(s, m, u), abs=1e-8
                 )
+
+
+class TestFactorials:
+    """The lgamma-based factorials against scipy.special and exact integers."""
+
+    def test_log_factorial_matches_gammaln(self):
+        from scipy.special import gammaln
+
+        n = np.arange(2048)
+        got = bg_module._log_factorial(n)
+        oracle = gammaln(n + 1.0)
+        assert np.all(got[:2] == 0.0)
+        np.testing.assert_allclose(got[2:], oracle[2:], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inverse_factorials_match_oracles(self):
+        from scipy.special import gammaln
+
+        n = np.arange(2048)
+        got = bg_module._inverse_factorials(n.size)
+        log_fact = gammaln(n + 1.0)
+        via_gammaln = np.exp(-log_fact)
+        exact = np.array([1 / math.factorial(k) for k in range(n.size)])
+        normal = via_gammaln >= np.finfo(float).tiny
+        # exp of a rounded log n! is off by about eps * log n! (1.6e-13 at
+        # n = 170), so two such routes are compared at that scale
+        bound = 4 * np.finfo(float).eps * np.maximum(1.0, log_fact[normal])
+        for oracle in (via_gammaln, exact):
+            rel = np.abs(got[normal] - oracle[normal]) / oracle[normal]
+            assert np.all(rel <= bound)
+        # beyond n = 170 the values underflow quietly, never to inf or nan
+        assert np.all((got[~normal] >= 0.0) & (got[~normal] < np.finfo(float).tiny))
 
 
 class TestMeasureWeight:

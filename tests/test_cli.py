@@ -150,20 +150,39 @@ class TestFactorCommand:
         assert "Traceback" not in err
 
 
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+_SUBCOMMAND_RUNS = """
+import sys, tempfile
+from pathlib import Path
+from diskphase import cli
+out = Path(tempfile.mkdtemp()) / "out"
+spec = '{"kind":"pi_superposition","z":[0.6,0.2],"tau":2.0}'
+runs = [
+    ["state", "--json", spec],
+    ["factor", "--json", spec],
+    ["phase-dist", "--json", spec],
+    ["wigner", "--json", spec, "--n", "32"],
+    ["bg", "--json", '{"kind":"bg","u":[1,0]}'],
+    ["verify", "--only", "poisson", "--format", "csv"],
+]
+assert [cli.main([*argv, "--out", str(out)]) for argv in runs] == [0] * len(runs)
+"""
+
+
 def test_import_leaves_scipy_linalg_out():
-    """The package's linear algebra is numpy-only; scipy.linalg costs tens of
-    milliseconds per CLI process."""
+    """No scipy module is loaded by the import or by any subcommand short of a
+    full verify: scipy.special alone takes about 0.3 s per CLI process."""
     src = str(Path(diskphase.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = "import sys, diskphase.cli; print('scipy.linalg' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "False"
+    for code in ("import sys, diskphase.cli", _SUBCOMMAND_RUNS):
+        result = subprocess.run(
+            [sys.executable, "-c", code + "\n" + _PRINT_SCIPY],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestDataCommands:
@@ -319,6 +338,48 @@ class TestExitCodes:
             capsys, "state", "--json", '{"kind":"number","m":0}', "--weyl", "1:2"
         )
         assert code == EXIT_SPEC
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"number","m":"x"}',
+            '{"kind":"number","m":true}',
+            '{"kind":"number","m":2.7}',
+            '{"kind":"number","m":[2]}',
+            '{"kind":"pi_superposition","z":0.5,"tau":"a"}',
+            '{"kind":"pi_superposition","z":0.5,"tau":false}',
+            '{"kind":"su11_cs","z":true}',
+            '{"kind":"su11_cs","z":[0.5,true]}',
+            '{"kind":"su11_cs","z":[0.5]}',
+            pytest.param('{"kind":"su11_cs","z":1%s}' % ("0" * 400), id="z=1e400"),
+            pytest.param('{"kind":"su11_cs","z":1%s}' % ("0" * 5000), id="z=1e5000"),
+            '{"kind":"bg","u":null}',
+            '{"kind":"superpose","components":3,"amplitudes":[1]}',
+            '{"kind":"superpose","components":[{"kind":"number","m":0}],'
+            '"amplitudes":1}',
+            '{"kind":"raw","coeffs":0.5}',
+            '{"kind":"raw","coeffs":"ab"}',
+            '{"kind":"raw","coeffs":[0.5,"x"]}',
+        ],
+    )
+    def test_wrongly_typed_field(self, capsys, spec):
+        code, out, err = run(capsys, "state", "--json", spec)
+        assert code == EXIT_SPEC and out == ""
+        assert err.startswith("spec error") and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"raw","coeffs":[NaN,0.5]}',
+            '{"kind":"raw","coeffs":[[0.5,Infinity]]}',
+            '{"kind":"su11_cs","z":NaN}',
+        ],
+    )
+    def test_non_finite_coefficients(self, capsys, spec):
+        code, out, err = run(capsys, "factor", "--json", spec)
+        assert code == EXIT_SPEC and out == ""
+        assert err.startswith("spec error")
 
 
 class TestVerifyCommand:

@@ -89,6 +89,22 @@ class TestFactorialState:
         with pytest.raises(TruncationError):
             make_bg(20.0, 16)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalisation_overflow_refused(self):
+        # the tail bound holds at N = 2048, but I0(800) is past the float range
+        with pytest.raises(IllConditionedError):
+            make_bg(400.0, 2048)
+        assert make_bg(354.0, 2048).norm_squared() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("u0", [0.3, 1.0, 2.0, 0.5 + 0.5j, 3j, 7.5])
+    def test_normalisation_matches_scipy_i0(self, u0):
+        from scipy.special import i0
+
+        # c_0 is the normalisation 1/sqrt(I0(2|u0|)) itself
+        c0 = make_bg(u0, 96).coeffs[0]
+        assert c0.imag == 0.0
+        assert c0.real == pytest.approx(1.0 / math.sqrt(i0(2.0 * abs(u0))), rel=1e-15)
+
 
 class TestBlaschkeState:
     def test_reduces_to_one_photon(self):
@@ -206,6 +222,24 @@ class TestInvariants:
     def test_overfull_rejected(self):
         with pytest.raises(SpecError):
             FockState(np.array([1.0, 0.5]), 0.0)
+
+    @pytest.mark.parametrize(
+        "coeffs,defect",
+        [
+            ([np.nan, 0.5], 0.0),
+            ([0.5, complex(0.0, np.inf)], 0.0),
+            ([-np.inf], 0.0),
+            ([0.5], np.nan),
+            ([0.5], np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, coeffs, defect):
+        with pytest.raises(SpecError):
+            FockState(np.array(coeffs), defect)
+
+    def test_raw_state_non_finite_rejected(self):
+        with pytest.raises(SpecError):
+            raw_state(np.array([np.nan, 0.5]))
 
     def test_raw_state_defect(self):
         s = raw_state(np.array([0.6, 0.0]))

@@ -299,6 +299,16 @@ class TestClosedForms:
         for n in (1, 2, 5):
             assert closed_form("bg", {"u": u}, n, np.pi / 2) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("u", [0.3, 1.0, 2.0, 0.5 + 0.5j, 3j, 7.5])
+    def test_factorial_normalisation_matches_scipy_i0(self, u):
+        from scipy.special import i0
+
+        # level 0 is the constant 1/(2 pi I0(2|u|)) whatever the angle
+        val = closed_form("bg", {"u": u}, 0, self.theta)
+        np.testing.assert_allclose(
+            val, 1.0 / (2.0 * np.pi * i0(2.0 * abs(u))), rtol=1e-15, atol=0.0
+        )
+
     def test_unknown_tag(self):
         with pytest.raises(SpecError):
             closed_form("squeezed", {}, 0, 0.0)
