@@ -39,8 +39,18 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 
 
 def _inverse_factorials(count: int) -> np.ndarray:
-    """1/n! for n < count; underflows quietly to 0 where n! would overflow."""
-    return np.exp(-_log_factorial(np.arange(count)))
+    """1/n! for n < count, correctly rounded; 0 once it underflows (n >= 178).
+
+    int / int true division rounds correctly at any size of n!.
+    """
+    out = np.zeros(count)
+    factorial = 1
+    for n in range(count):
+        factorial *= max(n, 1)
+        out[n] = 1 / factorial
+        if out[n] == 0.0:
+            break
+    return out
 
 
 @dataclass(frozen=True, eq=False)

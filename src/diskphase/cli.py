@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +66,12 @@ class RunConfig:
                 f"grid {m} cannot resolve truncation {self.truncation}; "
                 "need at least twice the truncation"
             )
-        if self.outer_tol <= 0 or self.edge_margin <= 0:
-            raise SpecError("tolerances must be positive")
+        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
+            raise SpecError(
+                f"outer tolerance {self.outer_tol} must be finite and positive"
+            )
+        if not 0 < self.edge_margin < 1:
+            raise SpecError(f"edge margin {self.edge_margin} must lie in (0, 1)")
         if self.fmt not in ("csv", "json"):
             raise SpecError(f"unknown format {self.fmt!r}")
 
@@ -300,6 +305,10 @@ def cmd_wigner(args, config: RunConfig) -> int:
 
 
 def cmd_bg(args, config: RunConfig) -> int:
+    if args.points < 0:
+        raise SpecError(f"--points {args.points} must be >= 0")
+    if not (math.isfinite(args.tmax) and math.isfinite(args.arg)):
+        raise SpecError("--tmax and --arg must be finite")
     state = _build_state(args, config)
     u_fn = bg.bg_function(state)
     fac = factorize(

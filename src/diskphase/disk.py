@@ -56,6 +56,19 @@ def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     return m * np.fft.ifft(a, axis=-1)
 
 
+def circle_coefficients(values: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` Fourier coefficients of midpoint-grid samples.
+
+    Inverse of `circle_values`: c_k = (-1)^k e^{-i pi k / M} FFT_k / M.
+    """
+    m = np.shape(values)[-1]
+    if length > m:
+        raise AliasingError(f"grid {m} smaller than series length {length}")
+    k = np.arange(m)
+    twisted = (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (np.fft.fft(values) / m)
+    return twisted[..., :length]
+
+
 @dataclass(frozen=True, eq=False)
 class BoundarySamples:
     """Boundary function samples on the midpoint grid, plus clamped log-modulus."""

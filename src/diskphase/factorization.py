@@ -2,9 +2,12 @@
 
 The outer (minimum-phase) part is exp of the analytic completion of
 ln|boundary|, obtained cepstrally: Fourier-analyse the sampled log-modulus,
-keep the analytic half, exponentiate the resulting Taylor series. The inner
-(all-pass) part follows by coefficient deconvolution. Its disk zeros are
-the roots of the coefficient polynomial inside |z| < r = 1 - edge_margin.
+keep the analytic half, exponentiate it pointwise on the 2M midpoint grid
+and take the coefficients back by one FFT. The inner (all-pass) part is the
+quotient of truncated series Z / outer, with 1/outer by Newton doubling;
+outer * inner reproduces the coefficients to rounding level.
+The disk zeros are the roots of the coefficient polynomial inside
+|z| < r = 1 - edge_margin.
 After the tail of l1 mass <= eps * max|f| is dropped, the argument
 principle counts the zeros inside |z| = 1 and |z| = r, the contour power
 sums on |z| = r give a k x k Hankel pencil for the k zeros, and Newton
@@ -16,9 +19,9 @@ Newton failing, a zero leaving |z| < r or two zeros coinciding.
 Quadrature of ln|boundary| is the one genuinely lossy step: states whose
 boundary function vanishes somewhere on the circle (integrable log
 singularity) leave an O(1/M) alias in every Fourier coefficient. The
-pipeline therefore evaluates the log-spectrum on nested grids M, 2M, ... and
-Richardson-extrapolates the 1/M term away; `refine_levels=2` is the default
-and makes the mean (hence the outer defect) exact to rounding for the
+pipeline therefore evaluates the log-spectrum on grids M and 2M and
+Richardson-extrapolates the 1/M term away (2 phi_2M - phi_M), which makes
+the mean (hence the outer defect) exact to rounding for the
 root-of-unity zero patterns of the catalog. The pointwise inner modulus
 does not share that exactness: for the vacuum-plus-|m> states its worst
 deviation from 1 on the circle is about 7e-3 (m = 1), 8e-2 (m = 3), 0.55
@@ -36,12 +39,13 @@ import numpy as np
 from .disk import (
     BoundarySamples,
     boundary,
+    circle_coefficients,
     circle_values,
     default_grid_size,
     midpoint_grid,
 )
 from .errors import DomainError, IllConditionedError, SpecError
-from .series import series_div, series_exp, series_mul
+from .series import series_div, series_mul
 from .states import FockState
 
 DEFAULT_EDGE_MARGIN = 1e-3
@@ -83,49 +87,35 @@ def compute_phi(samples: BoundarySamples, length: int) -> PhiSeries:
     m = samples.grid_size
     if length > m // 2:
         raise SpecError(f"series length {length} exceeds grid Nyquist {m // 2}")
-    spectrum = np.fft.fft(samples.log_abs) / m
-    k = np.arange(m)
-    # midpoint-grid twist: c_k = (-1)^k e^{-i pi k / M} FFT_k / M
-    chat = (-1.0) ** k * np.exp(-1j * np.pi * k / m) * spectrum
-    phi = np.zeros(length, dtype=complex)
+    phi = 2.0 * circle_coefficients(samples.log_abs, length)
     phi[0] = float(np.mean(samples.log_abs))
-    phi[1:] = 2.0 * chat[1:length]
     return PhiSeries(phi, m)
 
 
-def _richardson(values: list[np.ndarray], grids: list[int]) -> np.ndarray:
-    """Neville elimination of a c_1/M + c_2/M^2 + ... error model."""
-    h = [1.0 / g for g in grids]
-    tab = [np.asarray(v, dtype=complex) for v in values]
-    depth = len(tab)
-    for span in range(1, depth):
-        tab = [
-            (h[j] * tab[j + 1] - h[j + span] * tab[j]) / (h[j] - h[j + span])
-            for j in range(depth - span)
-        ]
-    return tab[0]
-
-
 def refined_phi(
-    state: FockState,
-    length: int,
-    grid_size: int | None = None,
-    refine_levels: int = 2,
+    state: FockState, length: int, grid_size: int | None = None
 ) -> PhiSeries:
-    """Richardson-extrapolated cepstral series over grids M, 2M, ..."""
+    """Cepstral series Richardson-extrapolated from grids M and 2M.
+
+    The O(1/M) quadrature alias cancels in 2 phi_2M - phi_M.
+    """
     base = default_grid_size(state.truncation) if grid_size is None else int(grid_size)
-    if refine_levels < 1:
-        raise SpecError("refine_levels must be >= 1")
-    grids = [base << level for level in range(refine_levels)]
-    phis = [compute_phi(boundary(state, g), length).phi for g in grids]
-    if refine_levels == 1:
-        return PhiSeries(phis[0], base)
-    return PhiSeries(_richardson(phis, grids), base)
+    coarse = compute_phi(boundary(state, base), length).phi
+    fine = compute_phi(boundary(state, 2 * base), length).phi
+    return PhiSeries(2.0 * fine - coarse, base)
 
 
 def outer_part(phi: PhiSeries, length: int) -> np.ndarray:
-    """Taylor series of exp(phi); leading coefficient e^{phi_0} > 0."""
-    return series_exp(phi.phi, length)
+    """Taylor series of exp(phi); leading coefficient e^{phi_0} > 0.
+
+    exp is taken pointwise on the 2M midpoint grid, the finest grid the
+    refined series was sampled on, and one FFT returns the coefficients.
+    The leading one is set to e^{phi_0} exactly, free of the grid alias.
+    """
+    m = 2 * phi.grid_size
+    outer = circle_coefficients(np.exp(circle_values(phi.phi, m)), length)
+    outer[0] = np.exp(phi.phi[0].real)
+    return outer
 
 
 def inner_part(state: FockState, outer: np.ndarray) -> np.ndarray:
@@ -143,11 +133,7 @@ def _defect(mean_log_abs: float, value_at_zero: float) -> float:
     return defect
 
 
-def outer_defect(
-    state: FockState,
-    grid_size: int | None = None,
-    refine_levels: int = 2,
-) -> float:
+def outer_defect(state: FockState, grid_size: int | None = None) -> float:
     """Mean of ln|boundary| minus ln|Z(0)|; zero iff the state is outer.
 
     The mean is phi_0 of the refined log-spectrum. Returns +inf when f_0 = 0
@@ -155,7 +141,7 @@ def outer_defect(
     quadrature noise are clamped to 0 down to -1e-8; anything more negative
     is returned as-is as a warning sign.
     """
-    mean = refined_phi(state, 1, grid_size, refine_levels).phi[0].real
+    mean = refined_phi(state, 1, grid_size).phi[0].real
     return _defect(float(mean), abs(state.coeffs[0]))
 
 
@@ -224,8 +210,6 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
     not an integer, a zero lies between the circles, k is large, Newton
     does not converge, a zero leaves |z| < radius, or two zeros coincide.
     """
-    if not 0.0 < radius < 1.0:
-        return None
     grid = max(default_grid_size(poly.size), _MIN_CONTOUR_GRID)
     with np.errstate(all="ignore"):
         outer_count, _ = _winding(poly, 1.0, grid)
@@ -268,8 +252,10 @@ def blaschke_zeros(
     truncation artifacts. The tail of l1 mass <= eps * max|f| is dropped
     first; the disk zeros come from `_contour_zeros` when its certificate
     holds and from the companion-matrix eigenvalues of the trimmed
-    polynomial otherwise.
+    polynomial otherwise. `edge_margin` must lie in (0, 1) (DomainError).
     """
+    if not 0.0 < edge_margin < 1.0:
+        raise DomainError(f"edge_margin {edge_margin} must lie in (0, 1)")
     poly = np.conj(state.coeffs)
     scale = float(np.max(np.abs(poly)))
     if scale == 0.0:
@@ -363,12 +349,11 @@ def factorize(
     grid_size: int | None = None,
     edge_margin: float = DEFAULT_EDGE_MARGIN,
     singular_tol: float = DEFAULT_SINGULAR_TOL,
-    refine_levels: int = 2,
 ) -> FactoredState:
     """Full pipeline: boundary -> phi -> outer -> inner -> zeros -> diagnostics."""
     n = state.truncation
     base = default_grid_size(n) if grid_size is None else int(grid_size)
-    phi = refined_phi(state, n, base, refine_levels)
+    phi = refined_phi(state, n, base)
     outer = outer_part(phi, n)
     inner = inner_part(state, outer)
 

@@ -19,34 +19,23 @@ def series_mul(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
 
 
 def series_div(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    """Deconvolution c with b * c = a (requires b[0] != 0)."""
-    a = np.asarray(a, dtype=complex)
+    """Quotient c with b * c = a to `length` terms (requires b[0] != 0).
+
+    1/b comes from Newton's iteration r <- r - r (b r - 1), which doubles
+    the number of correct terms per step (Brent & Kung, J. ACM 25, 1978);
+    b r - 1 vanishes below the current order, so only its upper half is kept.
+    """
     b = np.asarray(b, dtype=complex)
     if b[0] == 0:
         raise ZeroDivisionError("leading series coefficient is zero")
-    c = np.zeros(length, dtype=complex)
-    c[0] = (a[0] if a.size else 0.0) / b[0]
-    for n in range(1, length):
-        an = a[n] if n < a.size else 0.0
-        m = min(n, b.size - 1)
-        acc = np.dot(b[1 : m + 1], c[n - 1 :: -1][:m]) if m else 0.0
-        c[n] = (an - acc) / b[0]
-    return c
-
-
-def series_exp(phi: np.ndarray, length: int) -> np.ndarray:
-    """exp of a power series by the standard derivative recurrence.
-
-    b_0 = e^{phi_0},  n b_n = sum_{k=1..n} k phi_k b_{n-k}.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    b = np.zeros(length, dtype=complex)
-    b[0] = np.exp(phi[0])
-    kphi = np.arange(phi.size) * phi
-    for n in range(1, length):
-        m = min(n, phi.size - 1)
-        b[n] = np.dot(kphi[1 : m + 1], b[n - 1 :: -1][:m]) / n if m else 0.0
-    return b
+    r = np.array([1.0 / b[0]])
+    k = 1
+    while k < length:
+        k2 = min(2 * k, length)
+        e = series_mul(b[:k2], r, k2)[k:]
+        r = np.concatenate((r, -series_mul(r, e, k2 - k)))
+        k = k2
+    return series_mul(a, r, length)
 
 
 def series_eval(coeffs: np.ndarray, z):

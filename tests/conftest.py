@@ -39,3 +39,32 @@ def boundary_direct(state, thetas):
     """Reference boundary evaluation by plain summation (no FFT)."""
     n = np.arange(state.truncation)
     return np.exp(1j * np.outer(np.asarray(thetas), n)) @ np.conj(state.coeffs)
+
+
+def series_div_oracle(a, b, length):
+    """Quotient c with b * c = a by forward substitution, one term at a time."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    c = np.zeros(length, dtype=complex)
+    c[0] = (a[0] if a.size else 0.0) / b[0]
+    for n in range(1, length):
+        an = a[n] if n < a.size else 0.0
+        m = min(n, b.size - 1)
+        acc = np.dot(b[1 : m + 1], c[n - 1 :: -1][:m]) if m else 0.0
+        c[n] = (an - acc) / b[0]
+    return c
+
+
+def series_exp_oracle(phi, length):
+    """exp of a power series by the derivative recurrence.
+
+    b_0 = e^{phi_0},  n b_n = sum_{k=1..n} k phi_k b_{n-k}.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    b = np.zeros(length, dtype=complex)
+    b[0] = np.exp(phi[0])
+    kphi = np.arange(phi.size) * phi
+    for n in range(1, length):
+        m = min(n, phi.size - 1)
+        b[n] = np.dot(kphi[1 : m + 1], b[n - 1 :: -1][:m]) / n if m else 0.0
+    return b

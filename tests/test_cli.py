@@ -367,6 +367,34 @@ class TestExitCodes:
         assert code == EXIT_SPEC and out == ""
         assert err.startswith("spec error") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, spec, option",
+        [
+            ("bg", '{"kind":"number","m":1}', "--points=-1"),
+            ("bg", '{"kind":"number","m":1}', "--tmax=nan"),
+            ("bg", '{"kind":"number","m":1}', "--tmax=inf"),
+            ("bg", '{"kind":"number","m":1}', "--arg=-inf"),
+            ("factor", '{"kind":"blaschke","z":[0.5,0]}', "--edge-margin=2"),
+            ("factor", '{"kind":"number","m":1}', "--edge-margin=1"),
+            ("factor", '{"kind":"number","m":1}', "--edge-margin=0"),
+            ("factor", '{"kind":"number","m":1}', "--edge-margin=nan"),
+            ("factor", '{"kind":"number","m":1}', "--outer-tol=nan"),
+            ("factor", '{"kind":"number","m":1}', "--outer-tol=inf"),
+            ("factor", '{"kind":"number","m":1}', "--outer-tol=-1e-6"),
+        ],
+    )
+    def test_option_out_of_range(self, capsys, command, spec, option):
+        code, out, err = run(capsys, command, "--json", spec, option)
+        assert code == EXIT_SPEC and out == ""
+        assert err.startswith("spec error") and "Traceback" not in err
+
+    def test_bg_empty_ray(self, capsys):
+        code, out, _ = run(
+            capsys, "bg", "--json", '{"kind":"number","m":1}', "--points", "0"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["ray"]["t"] == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "spec",

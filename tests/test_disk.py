@@ -27,6 +27,7 @@ from diskphase import (
     reconstruct_from_boundary,
     superpose,
 )
+from diskphase.disk import circle_coefficients, circle_values
 from tests.conftest import boundary_direct, disk_points, normalized_states
 
 
@@ -202,3 +203,23 @@ def test_raw_state_roundtrip_through_boundary():
     samples = boundary(s, 16)
     np.testing.assert_allclose(samples.values, boundary_direct(s, samples.theta),
                                atol=1e-13)
+
+
+class TestCircleCoefficients:
+    @settings(max_examples=40, deadline=None)
+    @given(normalized_states(max_size=64), st.integers(0, 3))
+    def test_round_trip(self, state, extra):
+        c = np.conj(state.coeffs)
+        m = max(8, 1 << (c.size - 1).bit_length()) << extra
+        back = circle_coefficients(circle_values(c, m), c.size)
+        np.testing.assert_allclose(back, c, rtol=0, atol=1e-14)
+
+    def test_rows_and_full_length(self):
+        c = np.array([[1.0, 2.0j, -0.5], [0.0, 0.0, 3.0]])
+        back = circle_coefficients(circle_values(c, 8), 8)
+        np.testing.assert_allclose(back[:, :3], c, atol=1e-15)
+        np.testing.assert_allclose(back[:, 3:], 0.0, atol=1e-15)
+
+    def test_length_beyond_grid(self):
+        with pytest.raises(AliasingError):
+            circle_coefficients(np.ones(8), 9)

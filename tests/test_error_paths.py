@@ -18,7 +18,6 @@ from diskphase import (
     laplace_to_disk,
     make_number,
     make_su11_cs,
-    refined_phi,
     superpose,
     wigner,
 )
@@ -54,11 +53,6 @@ def test_phi_length_capped_at_nyquist():
     samples = boundary(make_su11_cs(0.5, 16), 64)
     with pytest.raises(SpecError):
         compute_phi(samples, 64)
-
-
-def test_refinement_depth_positive():
-    with pytest.raises(SpecError):
-        refined_phi(make_su11_cs(0.5, 16), 16, 64, refine_levels=0)
 
 
 def test_blaschke_factor_inside_disk():

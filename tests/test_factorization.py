@@ -34,9 +34,9 @@ from diskphase import (
 from diskphase import verification as ver
 from diskphase.disk import circle_values
 from diskphase.factorization import DEFAULT_EDGE_MARGIN
-from diskphase.series import series_eval, series_exp, series_mul
+from diskphase.series import series_eval, series_mul
 
-from tests.conftest import normalized_states
+from tests.conftest import normalized_states, series_div_oracle, series_exp_oracle
 
 
 def vacuum_plus(m, n):
@@ -52,7 +52,7 @@ def singular_test_state(t=0.4, n=256):
     """
     phi = np.full(n, -2.0 * t, dtype=complex)
     phi[0] = -t
-    return raw_state(np.conj(series_exp(phi, n)))
+    return raw_state(np.conj(series_exp_oracle(phi, n)))
 
 
 class TestComputePhi:
@@ -116,6 +116,31 @@ class TestOuterPart:
             [math.factorial(n) for n in range(32)], dtype=float
         )
         np.testing.assert_allclose(b, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: make_su11_cs(0.7 + 0.2j, n),
+            lambda n: make_pi_superposition(0.8, 2.356, n),
+            lambda n: make_bg(2.0, n),
+            lambda n: make_blaschke_state(0.5j, n),
+        ],
+        ids=["su11_cs", "pi_superposition", "bg", "blaschke"],
+    )
+    def test_matches_exp_oracle(self, make, n):
+        phi = refined_phi(make(n), n)
+        b = outer_part(phi, n)
+        assert b[0] == np.exp(phi.phi[0].real)
+        np.testing.assert_allclose(b, series_exp_oracle(phi.phi, n), atol=1e-14)
+
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_boundary_zero_states_near_exp_oracle(self, m):
+        # phi decays like 1/k here, so exp(phi) has a slow tail that the 2M
+        # grid folds back: measured 7.7e-13 (m = 3) and 6.8e-11 (m = 7)
+        phi = refined_phi(vacuum_plus(m, 64), 64)
+        b = outer_part(phi, 64)
+        np.testing.assert_allclose(b, series_exp_oracle(phi.phi, 64), atol=1e-9)
 
 
 class TestInnerPart:
@@ -200,6 +225,11 @@ class TestBlaschkeZeros:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             blaschke_zeros(raw_state(np.zeros(4)), 0.1)
+
+    @pytest.mark.parametrize("margin", [0.0, 1.0, 2.0, -0.1, math.nan])
+    def test_edge_margin_outside_unit_interval(self, margin):
+        with pytest.raises(DomainError):
+            blaschke_zeros(make_blaschke_state(0.5, 16), margin)
 
 
 class TestContourExtraction:
@@ -379,9 +409,7 @@ class TestBlaschkeProduct:
         num[0], num[2] = 0.09, -1.0
         den = np.zeros(32, dtype=complex)
         den[0], den[2] = 1.0, -0.09
-        from diskphase.series import series_div
-
-        np.testing.assert_allclose(b, series_div(num, den, 32), atol=1e-13)
+        np.testing.assert_allclose(b, series_div_oracle(num, den, 32), atol=1e-13)
 
     def test_multiplicity(self):
         b2 = blaschke_product([(0.4j, 2)], 24)
@@ -436,6 +464,11 @@ class TestFactorize:
         ):
             fac = factorize(state, grid_size=512)
             assert fac.reconstruction_residual < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_reconstruction_residual_boundary_zeros(self, n):
+        for m in range(1, 9):
+            assert factorize(vacuum_plus(m, n)).reconstruction_residual <= 1e-12
 
     def test_inner_boundary_modulus(self):
         fac = factorize(make_blaschke_state(0.3 + 0.4j, 64), grid_size=512)
