@@ -32,6 +32,20 @@ from .states import FockState
 _GL_ORDER = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
+# Trapezoid rule for K0(x) = int_0^inf e^{-x cosh t} dt (Trefethen & Weideman,
+# SIAM Rev. 56, 2014): with step 0.05 on [0, 22] it is within 5e-15 relative
+# of K0 for 1e-6 <= x <= 100; past x ~ 200 the step no longer resolves the
+# integrand's width 1/sqrt(x), and below 1e-6 the tail past t = 22 counts.
+_K0_STEP = 0.05
+_K0_COSH = np.cosh(np.arange(0.0, 22.0 + _K0_STEP / 2, _K0_STEP))
+_K0_WEIGHTS = np.full(_K0_COSH.size, _K0_STEP)
+_K0_WEIGHTS[0] /= 2
+_K0_SMALL = 1e-6
+_EULER_GAMMA = 0.5772156649015329
+# I0(x) K0(x) switches from the trapezoid to its large-x expansion here,
+# where six terms of the expansion are within 1e-16.
+_I0K0_EXPANSION_FROM = 100.0
+
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
     """log n! elementwise, from math.lgamma (scipy.special stays unloaded)."""
@@ -236,15 +250,46 @@ def bg_shifted_from_outer(u_out: BGFunction, m: int, u: complex) -> complex:
     return complex(total / math.factorial(m))
 
 
+def _k0(x) -> np.ndarray:
+    """Modified Bessel K0 elementwise for 0 < x <= 100.
+
+    Trapezoid sum at the module nodes; below 1e-6, the small-x series
+    -(ln(x/2) + gamma) I0(x) + x^2/4 to O(x^4 ln x).
+    """
+    x = np.asarray(x, dtype=float)
+    trapezoid = np.exp(-x[..., None] * _K0_COSH) @ _K0_WEIGHTS
+    small = np.minimum(x, _K0_SMALL)
+    quarter = small * small / 4
+    series = -(np.log(small / 2) + _EULER_GAMMA) * (1 + quarter) + quarter
+    return np.where(x < _K0_SMALL, series, trapezoid)
+
+
+def _i0k0_expansion(x: float) -> float:
+    """I0(x) K0(x) for x >= 100 from its large-x expansion (DLMF 10.40.6, nu = 0).
+
+    1/(2x) sum_k a_k / (2x)^{2k} with a_k = a_{k-1} (2k-1)^3 / (2k): every
+    term is positive, and six reach 1e-16 relative at x = 100.
+    """
+    r = 1.0 / (2.0 * x)
+    term = total = 1.0
+    for k in range(1, 7):
+        term *= (2 * k - 1) ** 3 / (2 * k) * r * r
+        total += term
+    return total * r
+
+
 def bg_measure_weight(u: complex) -> float:
     """Density (2/pi) K0(2|u|) I0(2|u|) of the plane measure resolving identity.
 
     Diverges logarithmically (but integrably) at u = 0, which is therefore
-    rejected; quadratures must route around it.
+    rejected; quadratures must route around it. The density decays like
+    1/(2 pi |u|); past 2|u| = 100 it comes from the large-argument
+    expansion of I0 K0, so neither Bessel factor overflows or underflows.
     """
     a = abs(complex(u))
     if a == 0.0:
         raise DomainError("weight is singular at u = 0 (integrable); avoid the point")
-    from scipy.special import k0  # a ~0.3 s import, so loaded only here
-
-    return float(2.0 / np.pi * k0(2.0 * a) * np.i0(2.0 * a))
+    x = 2.0 * a
+    if x >= _I0K0_EXPANSION_FROM:
+        return 2.0 / np.pi * _i0k0_expansion(x)
+    return float(2.0 / np.pi * _k0(x) * np.i0(x))

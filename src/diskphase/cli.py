@@ -178,7 +178,36 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + newline, byte for byte.
+
+    With an indent, json.dumps runs the pure-Python encoder over every
+    element; here only the containers do, and each list of floats goes
+    through the C encoder in one call.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(value, indent: str) -> str:
+    """One value of `_json_text`; `indent` is the newline and indent it closes at."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            f"{json.dumps(key)}: {_json_value(value[key], inner)}"
+            for key in sorted(value)
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if value and all(isinstance(v, float) for v in value):
+            # float reprs hold no ", ", so the only ones are separators
+            items = [json.dumps(value)[1:-1].replace(", ", "," + inner)]
+        else:
+            items = [_json_value(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _csv_text(header: list[str], rows) -> str:

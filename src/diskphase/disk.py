@@ -43,30 +43,35 @@ def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """sum_n coeffs[..., n] e^{i n theta_j} on the midpoint grid via zero-padded FFT.
 
     Works along the last axis, so each row of a 2-d array is one series.
+    Only the first L = coeffs.shape[-1] padded entries are nonzero, so only
+    they are twisted.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = grid_size
-    if coeffs.shape[-1] > m:
-        raise AliasingError(f"grid {m} smaller than series length {coeffs.shape[-1]}")
+    length = coeffs.shape[-1]
+    if length > m:
+        raise AliasingError(f"grid {m} smaller than series length {length}")
+    n = np.arange(length)
     a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
-    a[..., : coeffs.shape[-1]] = coeffs
-    n = np.arange(m)
     # e^{i n theta_j} = e^{i pi n (1/M - 1)} e^{2 pi i n j / M}
-    a *= np.exp(1j * np.pi * n * (1.0 / m - 1.0))
-    return m * np.fft.ifft(a, axis=-1)
+    np.multiply(coeffs, np.exp(1j * np.pi * n * (1.0 / m - 1.0)), out=a[..., :length])
+    out = np.fft.ifft(a, axis=-1)
+    out *= m
+    return out
 
 
 def circle_coefficients(values: np.ndarray, length: int) -> np.ndarray:
     """The first `length` Fourier coefficients of midpoint-grid samples.
 
-    Inverse of `circle_values`: c_k = (-1)^k e^{-i pi k / M} FFT_k / M.
+    Inverse of `circle_values`: c_k = (-1)^k e^{-i pi k / M} FFT_k / M,
+    twisted for k < length only.
     """
     m = np.shape(values)[-1]
     if length > m:
         raise AliasingError(f"grid {m} smaller than series length {length}")
-    k = np.arange(m)
-    twisted = (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (np.fft.fft(values) / m)
-    return twisted[..., :length]
+    k = np.arange(length)
+    live = np.fft.fft(values)[..., :length]
+    return (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (live / m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -420,8 +420,6 @@ def check_bg_bridge() -> list[CheckResult]:
 
 def _identity_resolution_residual(n_top: int) -> float:
     """Radial x angular quadrature of the overcomplete-basis identity."""
-    from scipy.special import k0  # a ~0.3 s import, so loaded only here
-
     nodes, weights = np.polynomial.legendre.leggauss(64)
     edges = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 40.0]
     ts, ws = [], []
@@ -430,7 +428,7 @@ def _identity_resolution_residual(n_top: int) -> float:
         ws.append(0.5 * (hi - lo) * weights)
     t = np.concatenate(ts)
     wt = np.concatenate(ws)
-    kern = (2.0 / np.pi) * k0(2.0 * t) * t  # measure density x jacobian
+    kern = (2.0 / np.pi) * bg._k0(2.0 * t) * t  # measure density x jacobian
     n_ang = 64
     phi = 2.0 * np.pi * np.arange(n_ang) / n_ang
     worst = 0.0

@@ -68,3 +68,29 @@ def series_exp_oracle(phi, length):
         m = min(n, phi.size - 1)
         b[n] = np.dot(kphi[1 : m + 1], b[n - 1 :: -1][:m]) / n if m else 0.0
     return b
+
+
+def circle_values_oracle(coeffs, grid_size):
+    """Midpoint-grid values by twisting the whole zero-padded array of length M."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m = grid_size
+    a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
+    a[..., : coeffs.shape[-1]] = coeffs
+    n = np.arange(m)
+    a *= np.exp(1j * np.pi * n * (1.0 / m - 1.0))
+    return m * np.fft.ifft(a, axis=-1)
+
+
+def circle_coefficients_oracle(values, length):
+    """Fourier coefficients by twisting all M FFT outputs, then keeping `length`."""
+    m = np.shape(values)[-1]
+    k = np.arange(m)
+    twisted = (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (np.fft.fft(values) / m)
+    return twisted[..., :length]
+
+
+def bit_equal(a, b) -> bool:
+    """Equal shape and equal float components, compared as float views."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))

@@ -289,6 +289,24 @@ class TestMeasureWeight:
         with pytest.raises(DomainError):
             bg_measure_weight(0.0)
 
+    def test_k0_trapezoid_matches_scipy(self):
+        from scipy.special import k0
+
+        x = np.concatenate([np.geomspace(1e-300, 1e-6, 200), np.geomspace(1e-6, 100, 2000)])
+        np.testing.assert_allclose(bg_module._k0(x), k0(x), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_scaled_oracle_at_every_scale(self):
+        """No overflow past 2|u| = 709, where I0 alone is inf (|u| = 360, 400)."""
+        from scipy.special import i0e, k0e
+
+        a = np.concatenate(
+            [np.geomspace(1e-300, 1e300, 3000), [49.9, 50.0, 50.1, 355.0, 360.0, 400.0]]
+        )
+        got = np.array([bg_measure_weight(v) for v in a])
+        oracle = (2.0 / np.pi) * k0e(2.0 * a) * i0e(2.0 * a)
+        np.testing.assert_allclose(got, oracle, rtol=1e-14, atol=0.0)
+
     def test_resolves_identity_small_levels(self):
         """Radial x angular quadrature of the overcompleteness relation."""
         nodes, weights = np.polynomial.legendre.leggauss(64)

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diskphase
 from diskphase import verification
-from diskphase.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC, main
+from diskphase.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC, _json_text, main
 
 
 def run(capsys, *argv):
@@ -164,14 +166,15 @@ runs = [
     ["wigner", "--json", spec, "--n", "32"],
     ["bg", "--json", '{"kind":"bg","u":[1,0]}'],
     ["verify", "--only", "poisson", "--format", "csv"],
+    ["verify"],
 ]
 assert [cli.main([*argv, "--out", str(out)]) for argv in runs] == [0] * len(runs)
 """
 
 
 def test_import_leaves_scipy_linalg_out():
-    """No scipy module is loaded by the import or by any subcommand short of a
-    full verify: scipy.special alone takes about 0.3 s per CLI process."""
+    """No scipy module is loaded by the import or by any subcommand, a full
+    verify included: scipy.special alone takes about 0.3 s per CLI process."""
     src = str(Path(diskphase.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     for code in ("import sys, diskphase.cli", _SUBCOMMAND_RUNS):
@@ -183,6 +186,29 @@ def test_import_leaves_scipy_linalg_out():
             check=True,
         )
         assert result.stdout.strip() == "[]"
+
+
+# ", " inside a string must survive: only float lists take the fast path
+_JSON_SCALARS = (
+    st.floats()
+    | st.integers()
+    | st.text(max_size=8)
+    | st.just("a, b")
+    | st.booleans()
+    | st.none()
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS | st.lists(st.floats(), max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_text_matches_indented_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestDataCommands:

@@ -28,7 +28,14 @@ from diskphase import (
     superpose,
 )
 from diskphase.disk import circle_coefficients, circle_values
-from tests.conftest import boundary_direct, disk_points, normalized_states
+from tests.conftest import (
+    bit_equal,
+    boundary_direct,
+    circle_coefficients_oracle,
+    circle_values_oracle,
+    disk_points,
+    normalized_states,
+)
 
 
 class TestEvalZ:
@@ -223,3 +230,37 @@ class TestCircleCoefficients:
     def test_length_beyond_grid(self):
         with pytest.raises(AliasingError):
             circle_coefficients(np.ones(8), 9)
+
+
+
+@st.composite
+def live_bands(draw):
+    """A grid size m in [8, 4096], a series length 1 <= L <= m, 1-d or 2-d."""
+    m = draw(st.integers(8, 4096))
+    rows = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return m, rows + (draw(st.integers(1, m)),), rng
+
+
+class TestLiveBandTwist:
+    """The helpers twist only the live band, with the full-grid twist's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(live_bands())
+    def test_circle_values_bits(self, case):
+        m, shape, rng = case
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert bit_equal(circle_values(coeffs, m), circle_values_oracle(coeffs, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(live_bands(), st.booleans())
+    def test_circle_coefficients_bits(self, case, real):
+        m, shape, rng = case
+        grid_shape = shape[:-1] + (m,)
+        values = rng.normal(size=grid_shape)
+        if not real:
+            values = values + 1j * rng.normal(size=grid_shape)
+        length = shape[-1]
+        assert bit_equal(
+            circle_coefficients(values, length), circle_coefficients_oracle(values, length)
+        )

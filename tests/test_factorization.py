@@ -31,12 +31,21 @@ from diskphase import (
     refined_phi,
     superpose,
 )
+from diskphase import disk as disk_module
+from diskphase import factorization as fz_module
 from diskphase import verification as ver
 from diskphase.disk import circle_values
 from diskphase.factorization import DEFAULT_EDGE_MARGIN
 from diskphase.series import series_eval, series_mul
 
-from tests.conftest import normalized_states, series_div_oracle, series_exp_oracle
+from tests.conftest import (
+    bit_equal,
+    circle_coefficients_oracle,
+    circle_values_oracle,
+    normalized_states,
+    series_div_oracle,
+    series_exp_oracle,
+)
 
 
 def vacuum_plus(m, n):
@@ -532,6 +541,36 @@ class TestFactorize:
             make_bg(1.0, 64),
         ):
             assert not factorize(state, grid_size=512).singular_suspected
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        make_pi_superposition(0.8, 2.356, 1024),
+        make_su11_cs(0.97, 1024),
+        make_blaschke_state(0.6j, 1024),
+    ],
+    ids=["pi_superposition", "su11_cs", "blaschke"],
+)
+def test_factorize_bits_match_full_grid_twist(state, monkeypatch):
+    """Every output of `factorize` keeps its bits when the boundary FFTs twist
+    the whole grid (the oracles) instead of the live band only."""
+    fast = factorize(state)
+    monkeypatch.setattr(disk_module, "circle_values", circle_values_oracle)
+    monkeypatch.setattr(fz_module, "circle_values", circle_values_oracle)
+    monkeypatch.setattr(fz_module, "circle_coefficients", circle_coefficients_oracle)
+    slow = factorize(state)
+    for name in ("outer_coeffs", "inner_coeffs"):
+        assert bit_equal(getattr(fast, name), getattr(slow, name))
+    assert bit_equal(fast.phi.phi, slow.phi.phi)
+    assert fast.zeros == slow.zeros and fast.near_edge == slow.near_edge
+    for name in (
+        "outer_defect",
+        "singular_defect",
+        "reconstruction_residual",
+        "inner_boundary_deviation",
+    ):
+        assert getattr(fast, name) == getattr(slow, name)
 
 
 class TestSingularDetection:
