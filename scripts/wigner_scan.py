@@ -8,9 +8,7 @@ Usage: python scripts/wigner_scan.py --json '{"kind":"su11_cs","z":[0.5,0]}' \
 import argparse
 import json
 
-import numpy as np
-
-from diskphase import number_distribution, phase_distribution, wigner_grid
+from diskphase import marginal_residuals, wigner_grid
 from diskphase.cli import parse_state_spec
 
 
@@ -25,17 +23,11 @@ def main() -> None:
     state = parse_state_spec(json.loads(args.json), args.n)
     grid = wigner_grid(state, n_max=args.n_max)
 
-    marg_n = grid.number_marginal()
-    expected = np.zeros(args.n_max + 1)
-    k = min(args.n_max + 1, state.truncation)
-    expected[:k] = number_distribution(state)[:k]
+    num_residual, phase_residual = marginal_residuals(state, grid)
     print(f"lattice: {grid.values.shape[0]} levels x {grid.theta.size} angles")
     print(f"value range: [{grid.values.min():+.5f}, {grid.values.max():+.5f}]")
-    print(f"number-marginal residual: {np.max(np.abs(marg_n - expected)):.3e}")
-    print(
-        "phase-marginal residual: "
-        f"{np.max(np.abs(grid.phase_marginal() - phase_distribution(state, grid.theta.size))):.3e}"
-    )
+    print(f"number-marginal residual: {num_residual:.3e}")
+    print(f"phase-marginal residual: {phase_residual:.3e}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("n,theta,s\n")

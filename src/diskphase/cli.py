@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: state, factor, phase-dist, wigner, bg, verify. State specs are
-JSON objects (complex numbers as [re, im] pairs) passed via --spec FILE or
---json 'INLINE'. Output is deterministic byte-for-byte for a fixed spec and
-configuration.
+Subcommands: state, factor, phase-dist, wigner, bg, verify; each declares
+only the flags its handler reads. State specs are JSON objects (complex
+numbers as [re, im] pairs) passed via --spec FILE or --json 'INLINE'.
+Output is deterministic byte-for-byte for a fixed spec and configuration.
 
-Exit codes: 0 success, 2 malformed spec/config, 3 numeric precondition
-violation, 4 I/O failure.
+Exit codes: 0 success, 2 malformed spec/config or an array over MAX_CELLS,
+3 numeric precondition violation or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,15 @@ import numpy as np
 from . import barut_girardello as bg
 from . import verification
 from . import weyl as weyl_mod
-from .disk import boundary, default_grid_size, phase_distribution
+from .disk import boundary, default_grid_size
 from .errors import AliasingError, DiskPhaseError, SpecError
-from .factorization import factorization_report, factorize
+from .factorization import (
+    DEFAULT_EDGE_MARGIN,
+    DEFAULT_OUTER_TOL,
+    complex_pairs,
+    factorization_report,
+    factorize,
+)
 from .states import (
     DEFAULT_TRUNCATION,
     FockState,
@@ -38,7 +43,7 @@ from .states import (
     raw_state,
     superpose,
 )
-from .wigner import wigner_grid
+from .wigner import marginal_residuals, wigner_grid
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -46,41 +51,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    truncation: int = DEFAULT_TRUNCATION
-    grid_size: int | None = None
-    outer_tol: float = 1e-6
-    edge_margin: float = 1e-3
-    fmt: str = "json"
-    out: Path | None = None
-
-    def validate(self) -> None:
-        if self.truncation < 1:
-            raise SpecError("truncation must be >= 1")
-        m = self.resolved_grid()
-        if m < 1 or m & (m - 1):
-            raise SpecError(f"grid {m} must be a power of two")
-        if m < 2 * self.truncation:
-            raise AliasingError(
-                f"grid {m} cannot resolve truncation {self.truncation}; "
-                "need at least twice the truncation"
-            )
-        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
-            raise SpecError(
-                f"outer tolerance {self.outer_tol} must be finite and positive"
-            )
-        if not 0 < self.edge_margin < 1:
-            raise SpecError(f"edge margin {self.edge_margin} must lie in (0, 1)")
-        if self.fmt not in ("csv", "json"):
-            raise SpecError(f"unknown format {self.fmt!r}")
-
-    def resolved_grid(self) -> int:
-        return (
-            default_grid_size(self.truncation)
-            if self.grid_size is None
-            else self.grid_size
-        )
+# Largest array, in cells, that one run may allocate; `wigner --n 2048` fills
+# its 2048 x 8192 lattice at exactly this size. The companion-matrix
+# fallback's N^2 matrix is the one allocation it does not foresee.
+MAX_CELLS = 2**24
 
 
 def _as_real(value) -> float:
@@ -165,11 +139,6 @@ def parse_weyl(text: str) -> weyl_mod.WeylElement:
         raise SpecError(f"bad weyl element {text!r}: {exc}") from exc
 
 
-def _pairs(z) -> list:
-    """[re, im] for a complex scalar, a list of such pairs for an array."""
-    return np.stack([np.real(z), np.imag(z)], -1).tolist()
-
-
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -230,60 +199,101 @@ def _load_spec(args) -> dict:
         raise SpecError(f"invalid JSON spec: {exc}") from exc
 
 
-def _build_state(args, config: RunConfig) -> FockState:
-    state = parse_state_spec(_load_spec(args), config.truncation)
+def _grid(args) -> int:
+    return default_grid_size(args.n) if args.grid is None else args.grid
+
+
+def _check_args(args) -> None:
+    """Refuse out-of-range flags, and arrays over MAX_CELLS, before allocating."""
+    if args.command == "verify":
+        return
+    if args.n < 1:
+        raise SpecError("truncation must be >= 1")
+    if "grid" in args:
+        m = _grid(args)
+        if m < 1 or m & (m - 1):
+            raise SpecError(f"grid {m} must be a power of two")
+        if m < 2 * args.n:
+            raise AliasingError(
+                f"grid {m} cannot resolve truncation {args.n}; "
+                "need at least twice the truncation"
+            )
+    if "outer_tol" in args and not 0 < args.outer_tol < math.inf:
+        raise SpecError(f"outer tolerance {args.outer_tol} must be finite and positive")
+    if "edge_margin" in args and not 0 < args.edge_margin < 1:
+        raise SpecError(f"edge margin {args.edge_margin} must lie in (0, 1)")
+    if args.command == "bg":
+        if args.points < 0:
+            raise SpecError(f"--points {args.points} must be >= 0")
+        if not (math.isfinite(args.tmax) and math.isfinite(args.arg)):
+            raise SpecError("--tmax and --arg must be finite")
+    levels = args.n + (parse_weyl(args.weyl).m if args.weyl else 0)
+    cells = [("--n", args.n), ("--weyl", levels)]
+    if args.command in ("factor", "bg"):
+        cells.append(("--grid", 3 * m))  # the boundary on grids M and 2M
+    elif args.command == "phase-dist":
+        cells.append(("--grid", m))
+    elif args.command == "wigner" and args.n_max is None:
+        cells.append(("--n", levels * m))  # the default n_max is N - 1
+    elif args.command == "wigner":
+        cells.append(("--n-max", (args.n_max + 1) * m))
+    if args.command == "bg":
+        cells.append(("--points", args.points))
+    for flag, size in cells:
+        if size > MAX_CELLS:
+            raise SpecError(
+                f"{flag} asks for an array of {size} cells; the limit is {MAX_CELLS}"
+            )
+
+
+def _build_state(args) -> FockState:
+    state = parse_state_spec(_load_spec(args), args.n)
     if args.weyl:
         state = weyl_mod.apply(parse_weyl(args.weyl), state)
     return state
 
 
-def cmd_state(args, config: RunConfig) -> int:
-    state = _build_state(args, config)
+def cmd_state(args) -> int:
+    state = _build_state(args)
     dist = number_distribution(state)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
-            "coeffs": _pairs(state.coeffs),
+            "coeffs": complex_pairs(state.coeffs),
             "norm_defect": float(state.norm_defect),
             "number_distribution": dist.tolist(),
             "truncation": state.truncation,
         }
-        _emit(_json_text(payload), config.out)
+        _emit(_json_text(payload), args.out)
     else:
         c = state.coeffs
         rows = zip(range(c.size), c.real.tolist(), c.imag.tolist(), dist.tolist())
         text = f"# norm_defect={state.norm_defect!r}\n" + _csv_text(
             ["n", "re_coeff", "im_coeff", "probability"], rows
         )
-        _emit(text, config.out)
+        _emit(text, args.out)
     return EXIT_OK
 
 
-def cmd_factor(args, config: RunConfig) -> int:
-    state = _build_state(args, config)
-    fac = factorize(
-        state, grid_size=config.resolved_grid(), edge_margin=config.edge_margin
-    )
+def cmd_factor(args) -> int:
+    state = _build_state(args)
+    fac = factorize(state, grid_size=_grid(args), edge_margin=args.edge_margin)
     report = factorization_report(fac)
-    report["outer"] = (
-        report["outer_defect"] is not None
-        and report["outer_defect"] < config.outer_tol
-    )
-    _emit(_json_text(report), config.out)
+    report["outer"] = fac.outer_defect < args.outer_tol
+    _emit(_json_text(report), args.out)
     return EXIT_OK
 
 
-def cmd_phase_dist(args, config: RunConfig) -> int:
-    state = _build_state(args, config)
-    m = config.resolved_grid()
-    samples = boundary(state, m)
+def cmd_phase_dist(args) -> int:
+    state = _build_state(args)
+    samples = boundary(state, _grid(args))
     density = np.abs(samples.values) ** 2 / (2.0 * np.pi)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "theta": samples.theta.tolist(),
-            "boundary_values": _pairs(samples.values),
+            "boundary_values": complex_pairs(samples.values),
             "phase_density": density.tolist(),
         }
-        _emit(_json_text(payload), config.out)
+        _emit(_json_text(payload), args.out)
     else:
         v = samples.values
         rows = zip(
@@ -291,29 +301,16 @@ def cmd_phase_dist(args, config: RunConfig) -> int:
         )
         _emit(
             _csv_text(["theta", "re_theta_fn", "im_theta_fn", "phase_density"], rows),
-            config.out,
+            args.out,
         )
     return EXIT_OK
 
 
-def cmd_wigner(args, config: RunConfig) -> int:
-    state = _build_state(args, config)
-    n_max = args.n_max if args.n_max is not None else state.truncation - 1
-    grid = wigner_grid(state, n_max=n_max, grid_size=config.resolved_grid())
-    marg_n = grid.number_marginal()
-    expected = np.zeros(n_max + 1)
-    k = min(n_max + 1, state.truncation)
-    expected[:k] = number_distribution(state)[:k]
-    num_residual = float(np.max(np.abs(marg_n - expected)))
-    phase_residual = float(
-        np.max(
-            np.abs(
-                grid.phase_marginal()
-                - phase_distribution(state, grid.theta.size)
-            )
-        )
-    )
-    if config.fmt == "json":
+def cmd_wigner(args) -> int:
+    state = _build_state(args)
+    grid = wigner_grid(state, n_max=args.n_max, grid_size=_grid(args))
+    num_residual, phase_residual = marginal_residuals(state, grid)
+    if args.format == "json":
         payload = {
             "n_max": grid.n_max,
             "theta": grid.theta.tolist(),
@@ -321,7 +318,7 @@ def cmd_wigner(args, config: RunConfig) -> int:
             "number_marginal_residual": num_residual,
             "phase_marginal_residual": phase_residual,
         }
-        _emit(_json_text(payload), config.out)
+        _emit(_json_text(payload), args.out)
     else:
         theta = grid.theta.tolist()
         rows = (
@@ -329,47 +326,40 @@ def cmd_wigner(args, config: RunConfig) -> int:
             for n, row in enumerate(grid.values.tolist())
             for t, v in zip(theta, row)
         )
-        _emit(_csv_text(["n", "theta", "s"], rows), config.out)
+        _emit(_csv_text(["n", "theta", "s"], rows), args.out)
     return EXIT_OK
 
 
-def cmd_bg(args, config: RunConfig) -> int:
-    if args.points < 0:
-        raise SpecError(f"--points {args.points} must be >= 0")
-    if not (math.isfinite(args.tmax) and math.isfinite(args.arg)):
-        raise SpecError("--tmax and --arg must be finite")
-    state = _build_state(args, config)
+def cmd_bg(args) -> int:
+    state = _build_state(args)
     u_fn = bg.bg_function(state)
-    fac = factorize(
-        state, grid_size=config.resolved_grid(), edge_margin=config.edge_margin
-    )
-    u_in, u_out = bg.bg_factor_parts(fac)
+    u_in, u_out = bg.bg_factor_parts(factorize(state, grid_size=_grid(args)))
     ts = np.linspace(0.0, args.tmax, args.points)
     ray = ts * np.exp(1j * args.arg)
-    values = np.array([complex(u_fn(u)) for u in ray])
+    values = u_fn(ray)
     atoms = {
-        "atom_in": _pairs(u_in.atom),
-        "atom_out": _pairs(u_out.atom),
+        "atom_in": complex_pairs(u_in.atom),
+        "atom_out": complex_pairs(u_out.atom),
     }
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "ray": {
                 "t": ts.tolist(),
-                "u": _pairs(ray),
-                "values": _pairs(values),
+                "u": complex_pairs(ray),
+                "values": complex_pairs(values),
             },
             "factor_atoms": atoms,
         }
-        _emit(_json_text(payload), config.out)
+        _emit(_json_text(payload), args.out)
     else:
         rows = zip(ts.tolist(), values.real.tolist(), values.imag.tolist())
-        _emit(_csv_text(["t", "re_u", "im_u"], rows), config.out)
+        _emit(_csv_text(["t", "re_u", "im_u"], rows), args.out)
         # factor-part atoms always accompany the ray as a JSON block
         sys.stdout.write(_json_text(atoms))
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.only:
         report = verification.run_matching(args.only)
         if not report.results:
@@ -377,7 +367,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     else:
         report = verification.run_all()
     results = report.results
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "elapsed_seconds": report.elapsed_seconds,
             "results": [
@@ -392,7 +382,7 @@ def cmd_verify(args, config: RunConfig) -> int:
                 for r in results
             ],
         }
-        _emit(_json_text(payload), config.out)
+        _emit(_json_text(payload), args.out)
     else:
         lines = []
         for r in results:
@@ -402,8 +392,46 @@ def cmd_verify(args, config: RunConfig) -> int:
                 f"tol={r.tolerance:.3e}"
             )
         lines.append(f"elapsed: {report.elapsed_seconds:.2f} s")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all(r.passed for r in results) else 1
+
+
+_OPTIONS = {
+    "--n": dict(type=int, default=DEFAULT_TRUNCATION,
+                help="truncation (number of coefficients)"),
+    "--grid": dict(type=int, default=None,
+                   help="boundary grid size (power of two, >= 2N)"),
+    "--outer-tol": dict(type=float, default=DEFAULT_OUTER_TOL),
+    "--edge-margin": dict(type=float, default=DEFAULT_EDGE_MARGIN),
+    "--spec": dict(type=Path, default=None, help="path to a JSON state spec"),
+    "--json": dict(type=str, default=None, help="inline JSON state spec"),
+    "--weyl": dict(type=str, default=None,
+                   help="apply a shift element 'm:beta:gamma' first"),
+    "--format": dict(choices=["csv", "json"], default="json"),
+    "--out": dict(type=Path, default=None),
+    "--n-max": dict(type=int, default=None),
+    "--arg": dict(type=float, default=0.0, help="ray angle (radians)"),
+    "--tmax": dict(type=float, default=2.0),
+    "--points": dict(type=int, default=65),
+    "--only": dict(type=str, default=None,
+                   help="run only checks whose name contains this"),
+}
+_STATE = ("--n", "--spec", "--json", "--weyl")
+_SAMPLED = (*_STATE, "--grid", "--format", "--out")
+
+# subcommand: (help, handler, the flags its handler reads)
+_SUBCOMMANDS = {
+    "state": ("dump coefficients and statistics", cmd_state,
+              (*_STATE, "--format", "--out")),
+    "factor": ("inner/outer factorisation report (JSON)", cmd_factor,
+               (*_STATE, "--grid", "--outer-tol", "--edge-margin", "--out")),
+    "phase-dist": ("boundary function and phase density", cmd_phase_dist, _SAMPLED),
+    "wigner": ("joint number-phase lattice", cmd_wigner, (*_SAMPLED, "--n-max")),
+    "bg": ("transformed function along a ray", cmd_bg,
+           (*_SAMPLED, "--arg", "--tmax", "--points")),
+    "verify": ("run the verification catalog", cmd_verify,
+               ("--format", "--out", "--only")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,71 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
         "number-phase statistics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_state: bool = True) -> None:
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--out", type=Path, default=None)
-        if with_state:
-            p.add_argument("--n", type=int, default=DEFAULT_TRUNCATION,
-                           help="truncation (number of coefficients)")
-            p.add_argument("--grid", type=int, default=None,
-                           help="boundary grid size (power of two, >= 2N)")
-            p.add_argument("--outer-tol", type=float, default=1e-6)
-            p.add_argument("--edge-margin", type=float, default=1e-3)
-            p.add_argument("--spec", type=Path, default=None,
-                           help="path to a JSON state spec")
-            p.add_argument("--json", type=str, default=None,
-                           help="inline JSON state spec")
-            p.add_argument("--weyl", type=str, default=None,
-                           help="apply a shift element 'm:beta:gamma' first")
-
-    p_state = sub.add_parser("state", help="dump coefficients and statistics")
-    add_common(p_state)
-    p_factor = sub.add_parser("factor", help="inner/outer factorisation report")
-    add_common(p_factor)
-    p_phase = sub.add_parser("phase-dist", help="boundary function and phase density")
-    add_common(p_phase)
-    p_wig = sub.add_parser("wigner", help="joint number-phase lattice")
-    add_common(p_wig)
-    p_wig.add_argument("--n-max", type=int, default=None)
-    p_bg = sub.add_parser("bg", help="transformed function along a ray")
-    add_common(p_bg)
-    p_bg.add_argument("--arg", type=float, default=0.0, help="ray angle (radians)")
-    p_bg.add_argument("--tmax", type=float, default=2.0)
-    p_bg.add_argument("--points", type=int, default=65)
-    p_verify = sub.add_parser("verify", help="run the verification catalog")
-    add_common(p_verify, with_state=False)
-    p_verify.add_argument("--only", type=str, default=None,
-                          help="run only checks whose name contains this")
+    for name, (text, _, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-_HANDLERS = {
-    "state": cmd_state,
-    "factor": cmd_factor,
-    "phase-dist": cmd_phase_dist,
-    "wigner": cmd_wigner,
-    "bg": cmd_bg,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        config = RunConfig(fmt=args.format, out=args.out)
-    else:
-        config = RunConfig(
-            truncation=args.n,
-            grid_size=args.grid,
-            outer_tol=args.outer_tol,
-            edge_margin=args.edge_margin,
-            fmt=args.format,
-            out=args.out,
-        )
     try:
-        config.validate()
-        return _HANDLERS[args.command](args, config)
+        _check_args(args)
+        return _SUBCOMMANDS[args.command][1](args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
@@ -487,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -53,8 +53,12 @@ def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
         raise AliasingError(f"grid {m} smaller than series length {length}")
     n = np.arange(length)
     a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
-    # e^{i n theta_j} = e^{i pi n (1/M - 1)} e^{2 pi i n j / M}
-    np.multiply(coeffs, np.exp(1j * np.pi * n * (1.0 / m - 1.0)), out=a[..., :length])
+    # e^{i n theta_j} = (-1)^n e^{i pi n / M} e^{2 pi i n j / M}: the sign is
+    # exact and the angle is below pi; the equal e^{i pi n (1/M - 1)} rounds
+    # an angle near pi n and is off by about n pi eps
+    twist = np.exp(1j * np.pi * n / m)
+    twist[1::2] *= -1.0
+    np.multiply(coeffs, twist, out=a[..., :length])
     out = np.fft.ifft(a, axis=-1)
     out *= m
     return out

@@ -348,7 +348,6 @@ def factorize(
     state: FockState,
     grid_size: int | None = None,
     edge_margin: float = DEFAULT_EDGE_MARGIN,
-    singular_tol: float = DEFAULT_SINGULAR_TOL,
 ) -> FactoredState:
     """Full pipeline: boundary -> phi -> outer -> inner -> zeros -> diagnostics."""
     n = state.truncation
@@ -391,7 +390,7 @@ def factorize(
         near_edge=extraction.near_edge,
         outer_defect=defect,
         singular_defect=singular_defect,
-        singular_suspected=bool(singular_defect > singular_tol),
+        singular_suspected=bool(singular_defect > DEFAULT_SINGULAR_TOL),
         reconstruction_residual=residual,
         inner_boundary_deviation=inner_dev,
         grid_size=base,
@@ -408,20 +407,21 @@ def is_outer(
     return outer_defect(state, grid_size=grid_size) < outer_tol
 
 
+def complex_pairs(z) -> list:
+    """[re, im] for a complex scalar, a list of such pairs for an array."""
+    return np.stack([np.real(z), np.imag(z)], -1).tolist()
+
+
 def factorization_report(fac: FactoredState) -> dict:
     """JSON-ready report of a factorisation (complex numbers as [re, im])."""
-
-    def c2p(z: complex) -> list[float]:
-        return [float(np.real(z)), float(np.imag(z))]
-
     return {
-        "outer_coeffs": [c2p(z) for z in fac.outer_coeffs],
-        "inner_coeffs": [c2p(z) for z in fac.inner_coeffs],
+        "outer_coeffs": complex_pairs(fac.outer_coeffs),
+        "inner_coeffs": complex_pairs(fac.inner_coeffs),
         "zeros": [
-            {"gamma": c2p(g), "multiplicity": int(p)} for g, p in fac.zeros
+            {"gamma": complex_pairs(g), "multiplicity": int(p)} for g, p in fac.zeros
         ],
         "monomial_degree": int(fac.monomial_degree),
-        "near_edge_zeros": [c2p(z) for z in fac.near_edge],
+        "near_edge_zeros": complex_pairs(fac.near_edge),
         "outer_defect": (
             float(fac.outer_defect) if math.isfinite(fac.outer_defect) else None
         ),

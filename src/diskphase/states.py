@@ -29,6 +29,8 @@ DEFAULT_TRUNCATION = 256
 
 # Constructors may exceed unit norm by at most this much (rounding slack).
 _NORM_SLACK = 1e-12
+# Coherent-state labels closer than this to the unit circle are refused.
+_CS_EDGE = 1e-6
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -95,9 +97,7 @@ def make_number(m: int, truncation: int = DEFAULT_TRUNCATION) -> FockState:
     return FockState(c, 0.0)
 
 
-def make_su11_cs(
-    z0: complex, truncation: int = DEFAULT_TRUNCATION, edge: float = 1e-6
-) -> FockState:
+def make_su11_cs(z0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockState:
     """Coherent state with geometric coefficients sqrt(1-|z0|^2) z0^n.
 
     These are the eigenvectors of the lowering ladder operator: dropping
@@ -105,7 +105,7 @@ def make_su11_cs(
     """
     z0 = complex(z0)
     r = abs(z0)
-    if r > 1.0 - edge:
+    if r > 1.0 - _CS_EDGE:
         raise IllConditionedError(
             f"|z0|={r:.6g} too close to 1 for a faithful truncation"
         )

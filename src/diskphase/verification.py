@@ -19,7 +19,7 @@ from . import barut_girardello as bg
 from . import factorization as fz
 from . import weyl
 from .wigner import closed_form as wigner_closed_form
-from .wigner import shift_covariance_check, wigner, wigner_grid
+from .wigner import marginal_residuals, shift_covariance_check, wigner, wigner_grid
 from .disk import (
     conjugate,
     eval_Z,
@@ -35,7 +35,6 @@ from .states import (
     make_number,
     make_pi_superposition,
     make_su11_cs,
-    number_distribution,
     superpose,
 )
 
@@ -451,15 +450,9 @@ def check_wigner() -> list[CheckResult]:
     worst_phase = 0.0
     for entry in build_catalog(64):
         grid = wigner_grid(entry.state, n_max=64, grid_size=512)
-        marg_n = grid.number_marginal()
-        expected_n = np.zeros(65)
-        expected_n[:64] = number_distribution(entry.state)
-        worst_num = max(worst_num, float(np.max(np.abs(marg_n - expected_n))))
-        marg_p = grid.phase_marginal()
-        worst_phase = max(
-            worst_phase,
-            float(np.max(np.abs(marg_p - phase_distribution(entry.state, 512)))),
-        )
+        num, phase = marginal_residuals(entry.state, grid)
+        worst_num = max(worst_num, num)
+        worst_phase = max(worst_phase, phase)
     lattice_theta = midpoint_grid(64)
     cases = [
         ("number", {"m": 3}, make_number(3, 64)),

@@ -81,10 +81,8 @@ def shift(state: FockState, m: int) -> FockState:
     return apply(WeylElement(m), state)
 
 
-_DEFAULT_SAMPLES = tuple(
-    r * np.exp(2j * np.pi * k / 7)
-    for r in (0.2, 0.45, 0.7)
-    for k in range(7)
+_SAMPLE_POINTS = np.array(
+    [r * np.exp(2j * np.pi * k / 7) for r in (0.2, 0.45, 0.7) for k in range(7)]
 )
 
 
@@ -98,20 +96,19 @@ class TransformationDiagnostics:
 
 
 def transformation_check(
-    w: WeylElement,
-    state: FockState,
-    sample_points: tuple[complex, ...] = _DEFAULT_SAMPLES,
+    w: WeylElement, state: FockState
 ) -> TransformationDiagnostics:
     """Verify how the disk function, its log-spectrum and its inner part map.
 
     Checks Z(g; z) = e^{-i gamma} z^m Z(f; z e^{-i beta}), the invariance of
     the log-spectrum up to argument rotation, and the matching law for the
-    inner part, at the given interior sample points.
+    inner part, at 21 interior points on the circles of radius 0.2, 0.45
+    and 0.7.
     """
     from .factorization import factorize  # local import avoids a cycle
 
     g = apply(w, state)
-    zs = np.asarray(sample_points, dtype=complex)
+    zs = _SAMPLE_POINTS
     rotated = zs * np.exp(-1j * w.beta)
 
     lhs = eval_Z(g, zs)

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import circle_values, default_grid_size, midpoint_grid, next_pow2
+from .disk import (
+    circle_values,
+    default_grid_size,
+    midpoint_grid,
+    next_pow2,
+    phase_distribution,
+)
 from .errors import DiskPhaseError, DomainError, SpecError
 from .series import series_eval
-from .states import FockState, pi_superposition_norm
+from .states import FockState, number_distribution, pi_superposition_norm
 from .weyl import WeylElement, apply
 
 _IMAG_RESIDUE_TOL = 1e-12
@@ -52,8 +58,6 @@ def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
     separately, so a table that is not Hermitian shows as imaginary residue.
     """
     top = table.shape[1] // 2
-    if grid_size <= top:
-        raise SpecError(f"grid {grid_size} cannot resolve harmonics up to {top}")
     lower = np.conj(table[:, top::-1])
     lower[:, 0] = 0.0
     values = (
@@ -70,10 +74,17 @@ def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def _grid_size(truncation: int, n_max: int, grid_size: int | None) -> int:
-    """The given grid, or a power of two of at least 4 N and 4 (n_max + 1)."""
-    if grid_size is not None:
-        return int(grid_size)
-    return next_pow2(max(default_grid_size(truncation), 4 * (n_max + 1)))
+    """The given grid, or a power of two of at least 4 N and 4 (n_max + 1).
+
+    A given grid must exceed the top harmonic 2 n_max + 1; this is checked
+    here, before the coefficient table is built.
+    """
+    if grid_size is None:
+        return next_pow2(max(default_grid_size(truncation), 4 * (n_max + 1)))
+    top = 2 * n_max + 1
+    if grid_size <= top:
+        raise SpecError(f"grid {grid_size} cannot resolve harmonics up to {top}")
+    return int(grid_size)
 
 
 def wigner(state: FockState, n: int, theta):
@@ -127,6 +138,20 @@ def wigner_grid(
     m = _grid_size(state.truncation, n_max, grid_size)
     table = _coefficient_table(state.coeffs, np.arange(n_max + 1), 2 * n_max + 1)
     return WignerGrid(n_max, midpoint_grid(m), _lattice(table, m))
+
+
+def marginal_residuals(state: FockState, grid: WignerGrid) -> tuple[float, float]:
+    """Max deviations of the lattice marginals from the state's distributions.
+
+    The number marginal is compared with |f_n|^2 (zero past the truncation),
+    the phase marginal with `phase_distribution` on the lattice's grid.
+    """
+    expected = np.zeros(grid.n_max + 1)
+    k = min(grid.n_max + 1, state.truncation)
+    expected[:k] = number_distribution(state)[:k]
+    number = float(np.max(np.abs(grid.number_marginal() - expected)))
+    phase = grid.phase_marginal() - phase_distribution(state, grid.theta.size)
+    return number, float(np.max(np.abs(phase)))
 
 
 def chebyshev_u(k: int, x):

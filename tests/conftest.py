@@ -77,7 +77,7 @@ def circle_values_oracle(coeffs, grid_size):
     a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
     a[..., : coeffs.shape[-1]] = coeffs
     n = np.arange(m)
-    a *= np.exp(1j * np.pi * n * (1.0 / m - 1.0))
+    a *= (-1.0) ** n * np.exp(1j * np.pi * n / m)
     return m * np.fft.ifft(a, axis=-1)
 
 

@@ -13,8 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diskphase
-from diskphase import verification
-from diskphase.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_SPEC, _json_text, main
+from diskphase import SpecError, cli, verification
+from diskphase.cli import (
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_SPEC,
+    _json_text,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -294,14 +302,14 @@ class TestDeterminism:
         "command,fmt", [("factor", "json"), ("phase-dist", "csv"), ("wigner", "json")]
     )
     def test_identical_bytes(self, capsys, command, fmt):
+        # factor prints JSON only and takes no --format
         argv = (
             command,
             "--json",
             '{"kind":"pi_superposition","z":[0.8,0],"tau":2.356194490192345}',
             "--n",
             "64",
-            "--format",
-            fmt,
+            *(() if command == "factor" else ("--format", fmt)),
         )
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
@@ -325,7 +333,7 @@ class TestExitCodes:
     def test_grid_below_bandwidth(self, capsys):
         code, _, err = run(
             capsys,
-            "state",
+            "phase-dist",
             "--json",
             '{"kind":"number","m":0}',
             "--n",
@@ -434,6 +442,116 @@ class TestExitCodes:
         code, out, err = run(capsys, "factor", "--json", spec)
         assert code == EXIT_SPEC and out == ""
         assert err.startswith("spec error")
+
+
+_STATE_FLAGS = {"--n", "--spec", "--json", "--weyl"}
+_SAMPLED_FLAGS = _STATE_FLAGS | {"--grid", "--format", "--out"}
+_DECLARED = {
+    "state": _STATE_FLAGS | {"--format", "--out"},
+    "factor": _STATE_FLAGS | {"--grid", "--outer-tol", "--edge-margin", "--out"},
+    "phase-dist": _SAMPLED_FLAGS,
+    "wigner": _SAMPLED_FLAGS | {"--n-max"},
+    "bg": _SAMPLED_FLAGS | {"--arg", "--tmax", "--points"},
+    "verify": {"--format", "--out", "--only"},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        declared = {
+            name: {
+                flag
+                for action in p._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            for name, p in sub.choices.items()
+        }
+        assert declared == _DECLARED
+        assert sum(map(len, declared.values())) == 42
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("state", "--grid", "64"),
+            ("factor", "--format", "csv"),
+            ("bg", "--edge-margin", "0.1"),
+        ],
+    )
+    def test_removed_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--json", '{"kind":"number","m":0}', *argv[1:]])
+        assert exc.value.code == EXIT_SPEC
+        assert capsys.readouterr().out == ""
+
+
+class TestSizeBudget:
+    # values >= 10**12, so a missed check fails fast instead of paging in
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("state", "--n", str(10**12)), "--n"),
+            (("state", "--weyl", f"{10**12}:0:0"), "--weyl"),
+            (("phase-dist", "--grid", str(2**40)), "--grid"),
+            (("factor", "--grid", str(2**40)), "--grid"),
+            (("wigner", "--n-max", str(10**12)), "--n-max"),
+            (("bg", "--points", str(10**12)), "--points"),
+        ],
+    )
+    def test_oversize_refused(self, capsys, argv, flag):
+        code, out, err = run(
+            capsys, argv[0], "--json", '{"kind":"number","m":0}', *argv[1:]
+        )
+        assert code == EXIT_SPEC and out == ""
+        assert err.startswith(f"spec error: {flag} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (("state", "--n", "40"), 40),
+            (("state", "--n", "30", "--weyl", "10:0:0"), 40),
+            (("factor", "--n", "8", "--grid", "32"), 3 * 32),
+            (("bg", "--n", "8", "--grid", "32"), 3 * 32),
+            (("bg", "--n", "8", "--grid", "32", "--points", "100"), 100),
+            (("phase-dist", "--n", "8", "--grid", "32"), 32),
+            (("wigner", "--n", "8", "--grid", "32"), 8 * 32),
+            (("wigner", "--n", "8", "--grid", "32", "--n-max", "9"), 10 * 32),
+            (("wigner", "--n", "6", "--grid", "32", "--weyl", "2:0:0"), 8 * 32),
+        ],
+    )
+    def test_budget_edge(self, capsys, monkeypatch, argv, cells):
+        argv = (argv[0], "--json", '{"kind":"number","m":0}', *argv[1:])
+        monkeypatch.setattr(cli, "MAX_CELLS", cells)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_SPEC and out == ""
+        assert f"array of {cells} cells" in err
+
+    @pytest.mark.parametrize(
+        "command, n, fits",
+        [("factor", 2048, True), ("bg", 2048, True), ("wigner", 2048, True),
+         ("wigner", 2049, False)],
+    )
+    def test_largest_supported_truncation(self, command, n, fits):
+        # checked without running: wigner --n 2048 fills its 2048 x 8192
+        # lattice at exactly the limit
+        args = build_parser().parse_args([command, "--n", str(n), "--json", "{}"])
+        if fits:
+            cli._check_args(args)
+        else:
+            with pytest.raises(SpecError, match="--n asks for"):
+                cli._check_args(args)
+
+    def test_memory_error_is_numeric_exit(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("forced")
+
+        monkeypatch.setattr(cli, "boundary", exhausted)
+        code, out, err = run(capsys, "phase-dist", "--json", '{"kind":"number","m":0}')
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "out of memory: forced\n"
 
 
 class TestVerifyCommand:

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
 from diskphase import (
     AliasingError,
     DomainError,
+    FockState,
     IllConditionedError,
     boundary,
     cauchy,
@@ -215,6 +216,8 @@ def test_raw_state_roundtrip_through_boundary():
 class TestCircleCoefficients:
     @settings(max_examples=40, deadline=None)
     @given(normalized_states(max_size=64), st.integers(0, 3))
+    # a twist angle near pi n left 1.8e-14 here
+    @example(FockState(1j * np.eye(48)[47]), 0)
     def test_round_trip(self, state, extra):
         c = np.conj(state.coeffs)
         m = max(8, 1 << (c.size - 1).bit_length()) << extra
@@ -230,6 +233,27 @@ class TestCircleCoefficients:
     def test_length_beyond_grid(self):
         with pytest.raises(AliasingError):
             circle_coefficients(np.ones(8), 9)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double"
+)
+def test_circle_values_twist_is_accurate_at_high_order():
+    """Against the same FFT fed an extended-precision twist, at N = 2048.
+
+    A twist e^{i pi n (1/M - 1)} rounds its angle near pi n and was off by
+    8.8e-13 here; (-1)^n e^{i pi n / M} stays at rounding level (9e-16).
+    """
+    n_coeffs, m = 2048, 8192
+    rng = np.random.default_rng(2048)
+    c = rng.normal(size=n_coeffs) + 1j * rng.normal(size=n_coeffs)
+    c /= np.linalg.norm(c)
+    n = np.arange(n_coeffs).astype(np.longdouble)
+    angle = np.arccos(np.longdouble(-1)) * n * (np.longdouble(1) / m - 1)
+    a = np.zeros(m, dtype=np.clongdouble)
+    a[:n_coeffs] = c * (np.cos(angle) + 1j * np.sin(angle))
+    reference = m * np.fft.ifft(a)
+    assert np.max(np.abs(circle_values(c, m) - reference)) < 1e-14
 
 
 
