@@ -22,7 +22,7 @@ import numpy as np
 from . import barut_girardello as bg
 from . import verification
 from . import weyl as weyl_mod
-from .disk import boundary, default_grid_size
+from .disk import boundary, default_grid_size, next_pow2
 from .errors import AliasingError, DiskPhaseError, SpecError
 from .factorization import (
     DEFAULT_EDGE_MARGIN,
@@ -199,8 +199,19 @@ def _load_spec(args) -> dict:
         raise SpecError(f"invalid JSON spec: {exc}") from exc
 
 
-def _grid(args) -> int:
-    return default_grid_size(args.n) if args.grid is None else args.grid
+def _grid(args, levels: int) -> int:
+    """--grid, or the default for --n doubled until it resolves the run.
+
+    The default holds twice the truncation `levels` of the state the run
+    samples and, for wigner, exceeds the top harmonic 2 n_max + 1; where the
+    4 N default already does both, it is unchanged.
+    """
+    if args.grid is not None:
+        return args.grid
+    need = 2 * levels
+    if "n_max" in args and args.n_max is not None:
+        need = max(need, 2 * args.n_max + 2)
+    return next_pow2(max(default_grid_size(args.n), need))
 
 
 def _check_args(args) -> None:
@@ -209,8 +220,8 @@ def _check_args(args) -> None:
         return
     if args.n < 1:
         raise SpecError("truncation must be >= 1")
-    if "grid" in args:
-        m = _grid(args)
+    if "grid" in args and args.grid is not None:
+        m = args.grid
         if m < 1 or m & (m - 1):
             raise SpecError(f"grid {m} must be a power of two")
         if m < 2 * args.n:
@@ -228,6 +239,12 @@ def _check_args(args) -> None:
         if not (math.isfinite(args.tmax) and math.isfinite(args.arg)):
             raise SpecError("--tmax and --arg must be finite")
     levels = args.n + (parse_weyl(args.weyl).m if args.weyl else 0)
+    _check_budget(args, levels, _grid(args, levels) if "grid" in args else 0)
+
+
+def _check_budget(args, levels: int, m: int) -> None:
+    """Refuse a run on `levels` levels and grid M whose largest array would
+    exceed MAX_CELLS, naming the flag that asks for it."""
     cells = [("--n", args.n), ("--weyl", levels)]
     if args.command in ("factor", "bg"):
         cells.append(("--grid", 3 * m))  # the boundary on grids M and 2M
@@ -253,6 +270,15 @@ def _build_state(args) -> FockState:
     return state
 
 
+def _sampled(args) -> tuple[FockState, int]:
+    """The state and its grid, checked against the budget once more: a raw
+    spec sets its own truncation, which --n only estimates."""
+    state = _build_state(args)
+    m = _grid(args, state.truncation)
+    _check_budget(args, state.truncation, m)
+    return state, m
+
+
 def cmd_state(args) -> int:
     state = _build_state(args)
     dist = number_distribution(state)
@@ -275,8 +301,8 @@ def cmd_state(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    state = _build_state(args)
-    fac = factorize(state, grid_size=_grid(args), edge_margin=args.edge_margin)
+    state, m = _sampled(args)
+    fac = factorize(state, grid_size=m, edge_margin=args.edge_margin)
     report = factorization_report(fac)
     report["outer"] = fac.outer_defect < args.outer_tol
     _emit(_json_text(report), args.out)
@@ -284,8 +310,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_phase_dist(args) -> int:
-    state = _build_state(args)
-    samples = boundary(state, _grid(args))
+    state, m = _sampled(args)
+    samples = boundary(state, m)
     density = np.abs(samples.values) ** 2 / (2.0 * np.pi)
     if args.format == "json":
         payload = {
@@ -307,8 +333,8 @@ def cmd_phase_dist(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    state = _build_state(args)
-    grid = wigner_grid(state, n_max=args.n_max, grid_size=_grid(args))
+    state, m = _sampled(args)
+    grid = wigner_grid(state, n_max=args.n_max, grid_size=m)
     num_residual, phase_residual = marginal_residuals(state, grid)
     if args.format == "json":
         payload = {
@@ -331,9 +357,9 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_bg(args) -> int:
-    state = _build_state(args)
+    state, m = _sampled(args)
     u_fn = bg.bg_function(state)
-    u_in, u_out = bg.bg_factor_parts(factorize(state, grid_size=_grid(args)))
+    u_in, u_out = bg.bg_factor_parts(factorize(state, grid_size=m))
     ts = np.linspace(0.0, args.tmax, args.points)
     ray = ts * np.exp(1j * args.arg)
     values = u_fn(ray)

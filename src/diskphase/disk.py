@@ -39,6 +39,18 @@ def midpoint_grid(grid_size: int) -> np.ndarray:
     return -np.pi + (2 * j + 1) * np.pi / grid_size
 
 
+def _twist(length: int, grid_size: int) -> np.ndarray:
+    """twist_n = (-1)^n e^{i pi n / M}, n < length, so that on the midpoint grid
+    e^{i n theta_j} = twist_n e^{2 pi i n j / M}.
+
+    The sign is exact and the angle is below pi; the equal e^{i pi n (1/M - 1)}
+    rounds an angle near pi n and is off by about n pi eps.
+    """
+    twist = np.exp(1j * np.pi * np.arange(length) / grid_size)
+    twist[1::2] *= -1.0
+    return twist
+
+
 def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """sum_n coeffs[..., n] e^{i n theta_j} on the midpoint grid via zero-padded FFT.
 
@@ -51,17 +63,38 @@ def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     length = coeffs.shape[-1]
     if length > m:
         raise AliasingError(f"grid {m} smaller than series length {length}")
-    n = np.arange(length)
     a = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
-    # e^{i n theta_j} = (-1)^n e^{i pi n / M} e^{2 pi i n j / M}: the sign is
-    # exact and the angle is below pi; the equal e^{i pi n (1/M - 1)} rounds
-    # an angle near pi n and is off by about n pi eps
-    twist = np.exp(1j * np.pi * n / m)
-    twist[1::2] *= -1.0
-    np.multiply(coeffs, twist, out=a[..., :length])
+    np.multiply(coeffs, _twist(length, m), out=a[..., :length])
     out = np.fft.ifft(a, axis=-1)
     out *= m
     return out
+
+
+def hermitian_circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+    """sum_{|n| < L} c_n e^{i n theta_j} on the midpoint grid for c_{-n} = conj(c_n).
+
+    Only the half c_0..c_{L-1} = coeffs[..., :L] is given, and one real
+    inverse FFT of M // 2 + 1 bins per row makes the real output; Im c_0 is
+    ignored. Harmonics past M / 2 fold onto bin M - n as their conjugates,
+    and the Nyquist bin of an even grid, where n = M / 2 meets -n, holds
+    twice the real part.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m = grid_size
+    length = coeffs.shape[-1]
+    if length > m:
+        raise AliasingError(f"grid {m} smaller than series length {length}")
+    bins = m // 2 + 1
+    live = min(length, bins)
+    twist = _twist(length, m)
+    spec = np.zeros(coeffs.shape[:-1] + (bins,), dtype=complex)
+    np.multiply(coeffs[..., :live], twist[:live], out=spec[..., :live])
+    if length > bins:
+        folded = np.conj(coeffs[..., bins:] * twist[bins:])
+        spec[..., m - length + 1 : m - bins + 1] += folded[..., ::-1]
+    if m % 2 == 0 and length > m // 2:
+        spec[..., -1] = 2.0 * spec[..., -1].real
+    return np.fft.irfft(spec, n=m, axis=-1, norm="forward")
 
 
 def circle_coefficients(values: np.ndarray, length: int) -> np.ndarray:

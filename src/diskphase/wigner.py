@@ -3,12 +3,13 @@
 Row n of S(f; n, theta) is a trigonometric polynomial whose coefficients are
 the integer and half-integer antidiagonals of the coefficient outer product
 f (x) conj(f) that straddle level n. One table of these coefficients, built
-by a single gather, serves every evaluation: Horner at arbitrary angles, and
-the midpoint-grid FFT of `disk.circle_values` on the lattice. S is real by
-the Hermitian symmetry of the table, may go negative, and its marginals are
-the number and phase distributions. The per-level double sum and the
-equivalent circle-integral form are deliberately left to the test suite as
-independent oracles.
+by a single gather, serves every evaluation. The table is Hermitian,
+C[n, -h] = conj(C[n, h]), so only its h >= 0 half is built: Horner sums it
+at arbitrary angles, and one real inverse FFT per level
+(`disk.hermitian_circle_values`) on the lattice. S is real by construction,
+may go negative, and its marginals are the number and phase distributions.
+The per-level double sum and the equivalent circle-integral form are
+deliberately left to the test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .disk import (
-    circle_values,
     default_grid_size,
+    hermitian_circle_values,
     midpoint_grid,
     next_pow2,
     phase_distribution,
@@ -33,44 +35,47 @@ from .weyl import WeylElement, apply
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _coefficient_table(coeffs: np.ndarray, levels: np.ndarray, top: int) -> np.ndarray:
-    """Fourier coefficients C[n, h] of 2 pi S(n, .), harmonics h = -top..top.
+def _coefficient_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarray:
+    """Fourier coefficients C[n, h] of 2 pi S(n, .), harmonics h = 0..top.
 
     C[n, h] = f[n - ceil(h/2)] conj(f[n + floor(h/2)]): even h pair the
     integer antidiagonal through level n, odd h the half-integer one. Indices
-    outside the state read zeros from the padding. C[n, -h] = conj(C[n, h]).
+    outside the state read zeros from the padding. The h < 0 half is
+    C[n, -h] = conj(C[n, h]) and is not stored. Both factors are strided
+    windows on the padded state, so the gather makes no index arrays.
     """
     f = np.asarray(coeffs, dtype=complex)
-    rows = np.asarray(levels)[:, None]
-    h = np.arange(-top, top + 1)
-    lo = (top + 1) // 2  # largest ceil(h/2), so the lowest index lands on 0
-    size = max(f.size, int(rows.max(initial=0)) + top // 2 + 1)
-    padded = np.zeros(lo + size, dtype=complex)
-    padded[lo : lo + f.size] = f
-    right = lo + rows + h // 2
-    return padded[right - h] * np.conj(padded[right])
+    start, stop = levels.start, levels.stop
+    half = top // 2 + 1  # even h = 2p and odd h = 2p + 1 for p < half
+    padded = np.zeros(half + max(f.size, stop + half), dtype=complex)
+    padded[half : half + f.size] = f
+    # level n = start + k reads f[n - p] = down[n + 1, p], f[n - 1 - p] =
+    # down[n, p] and conj(f[n + p]) = up[k, p]
+    down = sliding_window_view(padded, half)[:, ::-1]
+    up = sliding_window_view(np.conj(padded), half)[start + half : stop + half]
+    table = np.empty((len(levels), top + 1), dtype=complex)
+    even, odd = table[:, 0::2], table[:, 1::2]
+    np.multiply(down[start + 1 : stop + 1], up, out=even)
+    np.multiply(down[start:stop, : odd.shape[1]], up[:, : odd.shape[1]], out=odd)
+    return table
 
 
 def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
-    """Rows of the table summed on the midpoint grid, checked to be real.
+    """Rows of the half table summed on the midpoint grid, over h = -top..top.
 
-    The h >= 0 half and the conjugated h < 0 half go through the FFT
-    separately, so a table that is not Hermitian shows as imaginary residue.
+    The real transform takes the Hermitian symmetry for granted, so the one
+    entry that can still break it is checked: C[n, 0] = |f_n|^2 is exactly
+    real, and an imaginary residue there means the conjugation is wrong.
     """
-    top = table.shape[1] // 2
-    lower = np.conj(table[:, top::-1])
-    lower[:, 0] = 0.0
-    values = (
-        circle_values(table[:, top:], grid_size)
-        + np.conj(circle_values(lower, grid_size))
-    ) / (2.0 * np.pi)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    residue = float(np.max(np.abs(table[:, 0].imag), initial=0.0))
     if residue >= _IMAG_RESIDUE_TOL:
         raise DiskPhaseError(
             f"imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e}; "
             "coefficient conjugation is suspect"
         )
-    return np.ascontiguousarray(values.real)  # frees the complex array
+    values = hermitian_circle_values(table, grid_size)
+    values /= 2.0 * np.pi
+    return values
 
 
 def _grid_size(truncation: int, n_max: int, grid_size: int | None) -> int:
@@ -92,10 +97,10 @@ def wigner(state: FockState, n: int, theta):
     if n < 0:
         raise DomainError("level n must be non-negative")
     theta = np.asarray(theta, dtype=float)
-    top = 2 * n + 1
-    row = _coefficient_table(state.coeffs, np.array([n]), top)[0]
-    total = series_eval(row, np.exp(1j * theta)) * np.exp(-1j * top * theta)
-    out = np.real(total) / (2.0 * np.pi)
+    row = _coefficient_table(state.coeffs, range(n, n + 1), 2 * n + 1)[0]
+    # the h < 0 half conjugates the h > 0 one; h = 0 is counted once
+    total = series_eval(row, np.exp(1j * theta))
+    out = (2.0 * np.real(total) - row[0].real) / (2.0 * np.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -125,7 +130,7 @@ class WignerGrid:
 def wigner_grid(
     state: FockState, n_max: int | None = None, grid_size: int | None = None
 ) -> WignerGrid:
-    """Fill the lattice from the coefficient table by FFT, then assert it is real.
+    """Fill the lattice from the coefficient table, one real inverse FFT per level.
 
     With n_max >= N - 1 both marginals are exact (the function vanishes for
     n >= N). For an exact angle marginal the grid must exceed the top
@@ -136,7 +141,7 @@ def wigner_grid(
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     m = _grid_size(state.truncation, n_max, grid_size)
-    table = _coefficient_table(state.coeffs, np.arange(n_max + 1), 2 * n_max + 1)
+    table = _coefficient_table(state.coeffs, range(n_max + 1), 2 * n_max + 1)
     return WignerGrid(n_max, midpoint_grid(m), _lattice(table, m))
 
 
@@ -262,10 +267,10 @@ def shift_covariance_check(
         n_max = shifted.truncation - 1
     m = _grid_size(shifted.truncation, n_max, grid_size)
     top = 2 * n_max + 1
-    lhs = _lattice(_coefficient_table(shifted.coeffs, np.arange(n_max + 1), top), m)
-    # rows below the shift stay zero; the rotation by beta twists harmonic h
-    # by e^{-i h beta}
-    rhs = np.zeros_like(lhs)
-    moved = _coefficient_table(state.coeffs, np.arange(n_max + 1 - w.m), top)
-    rhs[w.m :] = _lattice(moved * np.exp(-1j * w.beta * np.arange(-top, top + 1)), m)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    lhs = _lattice(_coefficient_table(shifted.coeffs, range(n_max + 1), top), m)
+    # the rotation by beta twists harmonic h by e^{-i h beta}
+    moved = _coefficient_table(state.coeffs, range(max(n_max + 1 - w.m, 0)), top)
+    moved *= np.exp(-1j * w.beta * np.arange(top + 1))
+    diff = lhs[w.m :] - _lattice(moved, m)
+    below = np.max(np.abs(lhs[: w.m]), initial=0.0)  # rows below the shift vanish
+    return float(max(below, np.max(np.abs(diff, out=diff), initial=0.0)))

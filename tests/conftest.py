@@ -6,6 +6,7 @@ from hypothesis import assume
 from hypothesis.strategies import composite
 
 from diskphase import FockState
+from diskphase.disk import circle_values
 
 
 @composite
@@ -87,6 +88,34 @@ def circle_coefficients_oracle(values, length):
     k = np.arange(m)
     twisted = (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (np.fft.fft(values) / m)
     return twisted[..., :length]
+
+
+def two_sided_table_oracle(coeffs, levels, top):
+    """Coefficients C[n, h] for h = -top..top, gathered by index arrays.
+
+    C[n, h] = f[n - ceil(h/2)] conj(f[n + floor(h/2)]), both halves stored.
+    """
+    f = np.asarray(coeffs, dtype=complex)
+    rows = np.asarray(levels)[:, None]
+    h = np.arange(-top, top + 1)
+    lo = (top + 1) // 2  # largest ceil(h/2), so the lowest index lands on 0
+    size = max(f.size, int(rows.max(initial=0)) + top // 2 + 1)
+    padded = np.zeros(lo + size, dtype=complex)
+    padded[lo : lo + f.size] = f
+    right = lo + rows + h // 2
+    return padded[right - h] * np.conj(padded[right])
+
+
+def two_fft_lattice_oracle(table, grid_size):
+    """Rows of a two-sided table over 2 pi on the midpoint grid, by two
+    complex FFTs: one of the h >= 0 half, one of the conjugated h < 0 half."""
+    top = table.shape[1] // 2
+    lower = np.conj(table[:, top::-1])
+    lower[:, 0] = 0.0
+    values = circle_values(table[:, top:], grid_size) + np.conj(
+        circle_values(lower, grid_size)
+    )
+    return values.real / (2.0 * np.pi)
 
 
 def bit_equal(a, b) -> bool:

@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -219,6 +221,11 @@ def test_json_text_matches_indented_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+_VACUUM = '{"kind":"number","m":0}'
+_RAW4 = '{"kind":"raw","coeffs":[[0.3,0.1],[0.2,-0.4],[0.1,0.5],0.2]}'
+_RAW40 = json.dumps({"kind": "raw", "coeffs": [0.1] * 40})
+
+
 class TestDataCommands:
     def test_phase_dist_uniform(self, capsys):
         code, out, _ = run(
@@ -257,6 +264,23 @@ class TestDataCommands:
         values = {(int(n), float(t)): float(s) for n, t, s in rows}
         assert all(v == pytest.approx(1 / (2 * np.pi)) for (n, _), v in values.items() if n == 2)
         assert all(v == 0.0 for (n, _), v in values.items() if n != 2)
+
+    @pytest.mark.parametrize(
+        "argv, spec, grid",
+        [
+            (("wigner", "--n", "16", "--n-max", "40"), _VACUUM, 128),
+            (("phase-dist", "--n", "32", "--weyl", "40:0:0"), _VACUUM, 256),
+            # a raw spec sets the truncation: 4 + 40 levels fit the 4 N default
+            (("phase-dist", "--n", "32", "--weyl", "40:0:0"), _RAW4, 128),
+            (("wigner", "--n", "1"), _RAW40, 128),
+        ],
+    )
+    def test_default_grid_resolves_the_run(self, capsys, argv, spec, grid):
+        # 4 N is doubled until it exceeds 2 n_max + 1 and holds the
+        # shifted truncation twice
+        code, out, _ = run(capsys, *argv, "--json", spec)
+        assert code == EXIT_OK
+        assert len(json.loads(out)["theta"]) == grid
 
     def test_wigner_json_reports_marginal_residuals(self, capsys):
         code, out, _ = run(
@@ -518,6 +542,9 @@ class TestSizeBudget:
             (("wigner", "--n", "8", "--grid", "32"), 8 * 32),
             (("wigner", "--n", "8", "--grid", "32", "--n-max", "9"), 10 * 32),
             (("wigner", "--n", "6", "--grid", "32", "--weyl", "2:0:0"), 8 * 32),
+            # default grids doubled past 4 N: 128 for n_max = 40, 256 for N + 40
+            (("wigner", "--n", "16", "--n-max", "40"), 41 * 128),
+            (("phase-dist", "--n", "32", "--weyl", "40:0:0"), 256),
         ],
     )
     def test_budget_edge(self, capsys, monkeypatch, argv, cells):
@@ -528,6 +555,13 @@ class TestSizeBudget:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_SPEC and out == ""
         assert f"array of {cells} cells" in err
+
+    def test_budget_checked_on_the_grid_a_raw_spec_needs(self, capsys, monkeypatch):
+        # --n 1 estimates an 8-point grid; the 40 raw levels need 128
+        monkeypatch.setattr(cli, "MAX_CELLS", 127)
+        code, out, err = run(capsys, "phase-dist", "--n", "1", "--json", _RAW40)
+        assert code == EXIT_SPEC and out == ""
+        assert "--grid asks for an array of 128 cells" in err
 
     @pytest.mark.parametrize(
         "command, n, fits",
@@ -622,3 +656,58 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         rep = json.loads(target.read_text())
         assert rep["results"][0]["passed"] is True
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+_PAIRS = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)
+_FUZZ_SPECS = st.one_of(
+    st.builds(lambda m: {"kind": "number", "m": m}, st.integers(0, 40)),
+    st.builds(lambda z: {"kind": "su11_cs", "z": z}, _PAIRS),
+    st.builds(
+        lambda z, tau: {"kind": "pi_superposition", "z": z, "tau": tau},
+        _PAIRS,
+        st.floats(-7.0, 7.0),
+    ),
+    st.builds(
+        lambda c: {"kind": "raw", "coeffs": c},
+        st.lists(st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+                 min_size=1, max_size=40),
+    ),
+)
+
+
+class TestFuzz:
+    """wigner and phase-dist over specs and flags: a documented exit, never a
+    traceback, and on success JSON with no NaN or Infinity. Every size here
+    is far below MAX_CELLS."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["wigner", "phase-dist"]),
+        _FUZZ_SPECS,
+        st.integers(1, 32),
+        st.none() | st.integers(0, 80),
+        st.none() | st.tuples(st.integers(0, 40), st.floats(-4.0, 4.0),
+                              st.floats(-4.0, 4.0)),
+        st.none() | st.integers(0, 10).map(lambda k: 2**k),
+    )
+    def test_main(self, command, spec, n, n_max, weyl, grid):
+        argv = [command, "--json", json.dumps(spec), "--n", str(n)]
+        if command == "wigner" and n_max is not None:
+            argv += ["--n-max", str(n_max)]
+        if weyl is not None:
+            argv += ["--weyl", "%d:%r:%r" % weyl]
+        if grid is not None:
+            argv += ["--grid", str(grid)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_SPEC, EXIT_NUMERIC), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+        else:
+            assert out.getvalue() == ""

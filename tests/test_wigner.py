@@ -30,7 +30,12 @@ from diskphase import (
     wigner,
     wigner_grid,
 )
-from tests.conftest import boundary_direct, normalized_states
+from tests.conftest import (
+    boundary_direct,
+    normalized_states,
+    two_fft_lattice_oracle,
+    two_sided_table_oracle,
+)
 
 # the module, not the function of the same name the package exports
 wigner_module = importlib.import_module("diskphase.wigner")
@@ -150,9 +155,9 @@ class TestGrid:
         )
 
     def test_conjugation_fault_caught(self):
-        # harmonic +1 without its conjugate at -1: the rows come out complex
-        table = np.zeros((1, 5), dtype=complex)
-        table[0, 3] = 0.2j
+        # C[n, 0] = |f_n|^2 is real; an imaginary DC entry cannot be Hermitian
+        table = np.zeros((2, 3), dtype=complex)
+        table[1, 0] = 0.5 + 0.2j
         with pytest.raises(DiskPhaseError, match="imaginary residue"):
             wigner_module._lattice(table, 8)
 
@@ -176,6 +181,30 @@ def lattice_cases(draw):
     narrow = draw(st.booleans())
     grid = draw(st.integers(2 * n_max + 2, 4 * n_max + 2)) if narrow else None
     return state, n_max, grid
+
+
+class TestAgainstTwoFftLattice:
+    """The half-table real transform against the two-sided two-FFT lattice."""
+
+    @given(lattice_cases(), st.floats(-np.pi, np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_matches(self, case, beta):
+        state, n_max, grid_size = case
+        top = 2 * n_max + 1
+        m = wigner_module._grid_size(state.truncation, n_max, grid_size)
+        half = wigner_module._coefficient_table(state.coeffs, range(n_max + 1), top)
+        full = two_sided_table_oracle(state.coeffs, np.arange(n_max + 1), top)
+        np.testing.assert_array_equal(half, full[:, top:])
+        # as shift_covariance_check twists its displaced side
+        twisted = half * np.exp(-1j * beta * np.arange(top + 1))
+        full_twisted = full * np.exp(-1j * beta * np.arange(-top, top + 1))
+        for ours, oracle in ((half, full), (twisted, full_twisted)):
+            np.testing.assert_allclose(
+                wigner_module._lattice(ours, m),
+                two_fft_lattice_oracle(oracle, m),
+                rtol=0,
+                atol=1e-15,
+            )
 
 
 class TestAgainstDenseSum:
