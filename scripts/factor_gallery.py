@@ -7,8 +7,9 @@ Usage: python scripts/factor_gallery.py [--n 64] [--grid 512] [--json OUT]
 import argparse
 import json
 import math
+import sys
 
-from diskphase import factorization_report, factorize
+from diskphase import DiskPhaseError, factorization_report, factorize
 from diskphase.verification import build_catalog
 
 
@@ -22,22 +23,24 @@ def main() -> None:
 
     reports = {}
     print(f"{'state':34s} {'defect':>12s} {'zeros':>28s} {'resid':>9s} flags")
-    for entry in build_catalog(args.n):
-        fac = factorize(entry.state, grid_size=args.grid)
-        zeros = ", ".join(
-            f"{g:.4f}x{p}" if p > 1 else f"{g:.4f}" for g, p in fac.zeros
-        )
-        if fac.monomial_degree:
-            zeros = f"z^{fac.monomial_degree} " + zeros
-        defect = (
-            f"{fac.outer_defect:12.3e}" if math.isfinite(fac.outer_defect) else "inf"
-        )
-        flags = "singular?" if fac.singular_suspected else ""
-        print(
-            f"{entry.name:34s} {defect:>12s} {zeros:>28s} "
-            f"{fac.reconstruction_residual:9.1e} {flags}"
-        )
-        reports[entry.name] = factorization_report(fac)
+    try:
+        for entry in build_catalog(args.n):
+            fac = factorize(entry.state, grid_size=args.grid)
+            zeros = ", ".join(
+                f"{g:.4f}x{p}" if p > 1 else f"{g:.4f}" for g, p in fac.zeros
+            )
+            if fac.monomial_degree:
+                zeros = f"z^{fac.monomial_degree} " + zeros
+            defect = fac.outer_defect
+            defect = f"{defect:12.3e}" if math.isfinite(defect) else "inf"
+            flags = "singular?" if fac.singular_suspected else ""
+            print(
+                f"{entry.name:34s} {defect:>12s} {zeros:>28s} "
+                f"{fac.reconstruction_residual:9.1e} {flags}"
+            )
+            reports[entry.name] = factorization_report(fac)
+    except DiskPhaseError as exc:
+        sys.exit(f"factor_gallery: {exc}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(reports, handle, indent=2, sort_keys=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import barut_girardello as bg
 from . import verification
 from . import weyl as weyl_mod
-from .disk import boundary, default_grid_size, next_pow2
+from .disk import boundary, default_grid_size
 from .errors import AliasingError, DiskPhaseError, SpecError
 from .factorization import (
     DEFAULT_EDGE_MARGIN,
@@ -208,10 +208,10 @@ def _grid(args, levels: int) -> int:
     """
     if args.grid is not None:
         return args.grid
-    need = 2 * levels
+    top = 2 * levels - 1
     if "n_max" in args and args.n_max is not None:
-        need = max(need, 2 * args.n_max + 2)
-    return next_pow2(max(default_grid_size(args.n), need))
+        top = max(top, 2 * args.n_max + 1)
+    return default_grid_size(args.n, top)
 
 
 def _check_args(args) -> None:
@@ -419,7 +419,7 @@ def cmd_verify(args) -> int:
             )
         lines.append(f"elapsed: {report.elapsed_seconds:.2f} s")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all(r.passed for r in results) else 1
+    return EXIT_OK if report.all_passed else 1
 
 
 _OPTIONS = {

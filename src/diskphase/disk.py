@@ -29,9 +29,10 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def default_grid_size(truncation: int) -> int:
-    """Default boundary oversampling: smallest power of two >= 4 N."""
-    return next_pow2(max(4 * truncation, 8))
+def default_grid_size(truncation: int, top: int = 0) -> int:
+    """The default midpoint grid: the smallest power of two that is >= 4 N,
+    >= 8 and > top, so that harmonics up to `top` are resolved."""
+    return next_pow2(max(4 * truncation, 8, top + 1))
 
 
 def midpoint_grid(grid_size: int) -> np.ndarray:
@@ -100,15 +101,14 @@ def hermitian_circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 def circle_coefficients(values: np.ndarray, length: int) -> np.ndarray:
     """The first `length` Fourier coefficients of midpoint-grid samples.
 
-    Inverse of `circle_values`: c_k = (-1)^k e^{-i pi k / M} FFT_k / M,
-    twisted for k < length only.
+    Inverse of `circle_values`: c_k = conj(twist_k) FFT_k / M, twisted for
+    k < length only.
     """
     m = np.shape(values)[-1]
     if length > m:
         raise AliasingError(f"grid {m} smaller than series length {length}")
-    k = np.arange(length)
     live = np.fft.fft(values)[..., :length]
-    return (-1.0) ** k * np.exp(-1j * np.pi * k / m) * (live / m)
+    return np.conj(_twist(length, m)) * (live / m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -378,7 +378,7 @@ def factorize(
     if monomial:
         after_monomial = mean_log_abs - math.log(abs(target[monomial]))
     else:
-        after_monomial = defect if math.isfinite(defect) else 0.0
+        after_monomial = defect
     accounted = sum(p * math.log(1.0 / abs(g)) for g, p in zeros)
     singular_defect = after_monomial - accounted
     return FactoredState(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .disk import eval_Z
 from .errors import DomainError
+from .factorization import factorize
 from .series import series_eval
 from .states import FockState
 
@@ -105,8 +106,6 @@ def transformation_check(
     inner part, at 21 interior points on the circles of radius 0.2, 0.45
     and 0.7.
     """
-    from .factorization import factorize  # local import avoids a cycle
-
     g = apply(w, state)
     zs = _SAMPLE_POINTS
     rotated = zs * np.exp(-1j * w.beta)

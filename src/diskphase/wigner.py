@@ -24,7 +24,6 @@ from .disk import (
     default_grid_size,
     hermitian_circle_values,
     midpoint_grid,
-    next_pow2,
     phase_distribution,
 )
 from .errors import DiskPhaseError, DomainError, SpecError
@@ -79,14 +78,14 @@ def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def _grid_size(truncation: int, n_max: int, grid_size: int | None) -> int:
-    """The given grid, or a power of two of at least 4 N and 4 (n_max + 1).
+    """The given grid, or `default_grid_size` for N and the top harmonic.
 
-    A given grid must exceed the top harmonic 2 n_max + 1; this is checked
-    here, before the coefficient table is built.
+    Either way the grid exceeds the top harmonic 2 n_max + 1; a given grid
+    is checked here, before the coefficient table is built.
     """
-    if grid_size is None:
-        return next_pow2(max(default_grid_size(truncation), 4 * (n_max + 1)))
     top = 2 * n_max + 1
+    if grid_size is None:
+        return default_grid_size(truncation, top)
     if grid_size <= top:
         raise SpecError(f"grid {grid_size} cannot resolve harmonics up to {top}")
     return int(grid_size)
@@ -134,7 +133,8 @@ def wigner_grid(
 
     With n_max >= N - 1 both marginals are exact (the function vanishes for
     n >= N). For an exact angle marginal the grid must exceed the top
-    harmonic 2 n_max + 1.
+    harmonic 2 n_max + 1, as the default `default_grid_size(N, 2 n_max + 1)`
+    does.
     """
     if n_max is None:
         n_max = state.truncation - 1
@@ -260,12 +260,13 @@ def shift_covariance_check(
     """Max deviation from S(g; n, theta) = S(f; n-m, theta-beta).
 
     Levels below the shift must vanish; above it the function is the
-    original one displaced on the lattice.
+    original one displaced on the lattice. The default grid is sized from
+    the unshifted N, as `diskphase wigner --weyl` sizes it.
     """
     shifted = apply(w, state)
     if n_max is None:
         n_max = shifted.truncation - 1
-    m = _grid_size(shifted.truncation, n_max, grid_size)
+    m = _grid_size(state.truncation, n_max, grid_size)
     top = 2 * n_max + 1
     lhs = _lattice(_coefficient_table(shifted.coeffs, range(n_max + 1), top), m)
     # the rotation by beta twists harmonic h by e^{-i h beta}

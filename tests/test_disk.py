@@ -16,6 +16,7 @@ from diskphase import (
     boundary,
     cauchy,
     conjugate,
+    default_grid_size,
     eval_Z,
     make_bg,
     make_blaschke_state,
@@ -211,6 +212,18 @@ def test_raw_state_roundtrip_through_boundary():
     samples = boundary(s, 16)
     np.testing.assert_allclose(samples.values, boundary_direct(s, samples.theta),
                                atol=1e-13)
+
+
+class TestDefaultGridSize:
+    @pytest.mark.parametrize(
+        "truncation, top, grid",
+        [(1, 0, 8), (2, 0, 8), (3, 0, 16), (64, 0, 256), (16, 81, 128),
+         (16, 63, 64), (16, 64, 128), (64, 131, 256), (2048, 4099, 8192)],
+    )
+    def test_smallest_power_of_two_over_4n_8_and_top(self, truncation, top, grid):
+        assert default_grid_size(truncation, top) == grid
+        if top == 0:
+            assert default_grid_size(truncation) == grid
 
 
 class TestCircleCoefficients:

@@ -30,6 +30,7 @@ from diskphase import (
     wigner,
     wigner_grid,
 )
+from diskphase.cli import _grid, build_parser
 from tests.conftest import (
     boundary_direct,
     normalized_states,
@@ -258,6 +259,67 @@ class TestAgainstDenseSum:
                 rhs[n - m], dense_sum(state, n - m, theta - beta), rtol=0, atol=1e-13
             )
         assert deviation < 1e-13
+
+
+class _Stop(Exception):
+    pass
+
+
+def _default_grid_of_shift_check(state, w):
+    """The grid shift_covariance_check picks, read off `_grid_size` before
+    any table or lattice is built."""
+    real_grid_size = wigner_module._grid_size
+
+    def record(*args):
+        raise _Stop(real_grid_size(*args))
+
+    with mock.patch.object(wigner_module, "_grid_size", record):
+        with pytest.raises(_Stop) as stop:
+            shift_covariance_check(state, w)
+    return stop.value.args[0]
+
+
+class TestDefaultGrid:
+    """Library lattices default to the grid the CLI picks for the same run."""
+
+    def test_shift_check_lattices_use_the_unshifted_4n_grid(self):
+        sizes = []
+        real_lattice = wigner_module._lattice
+
+        def record(table, size):
+            sizes.append(size)
+            return real_lattice(table, size)
+
+        with mock.patch.object(wigner_module, "_lattice", record):
+            shift_covariance_check(make_su11_cs(0.5, 64), WeylElement(2))
+        assert sizes == [256, 256]
+
+    def test_shift_check_grid_at_the_cli_budget_limit(self):
+        state = make_number(0, 2048)
+        assert _default_grid_of_shift_check(state, WeylElement(2)) == 8192
+
+    def test_wigner_grid_past_the_truncation(self):
+        # the grid `diskphase wigner --n 16 --n-max 40` prints
+        assert wigner_grid(make_number(0, 16), n_max=40).theta.size == 128
+
+    @pytest.mark.parametrize(
+        "n, shift, n_max",
+        [(5, 0, None), (16, 0, None), (16, 0, 40), (64, 0, 10), (64, 0, 200),
+         (16, 3, None), (16, 40, None), (64, 40, None)],
+    )
+    def test_library_defaults_match_the_cli(self, n, shift, n_max):
+        # `wigner_grid` of an unshifted state, or the shift check of its
+        # shift, against `diskphase wigner --n n [--n-max] --weyl shift:...`
+        argv = ["wigner", "--n", str(n), "--weyl", f"{shift}:0.4:0.1"]
+        if n_max is not None:
+            argv += ["--n-max", str(n_max)]
+        cli_grid = _grid(build_parser().parse_args(argv), n + shift)
+        if shift == 0:
+            levels = n - 1 if n_max is None else n_max
+            assert wigner_module._grid_size(n, levels, None) == cli_grid
+        else:
+            w = WeylElement(shift, 0.4, 0.1)
+            assert _default_grid_of_shift_check(make_number(0, n), w) == cli_grid
 
 
 class TestChebyshev:
