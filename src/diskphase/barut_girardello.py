@@ -107,7 +107,9 @@ def _validated_radius(smooth: np.ndarray) -> float:
     last = nz[-1]
     if last < smooth.size - 1 or last == 0:
         return 1e6  # exact polynomial: no truncated tail
-    ratio = min(1.0, c[last] / c[last - 1] if c[last - 1] > 0 else 1.0)
+    # divide only where the quotient is below 1: a subnormal c[last - 1]
+    # under a larger c[last] would overflow
+    ratio = c[last] / c[last - 1] if c[last] < c[last - 1] else 1.0
     # first dropped term ~ c_last * ratio * t^{last+1}, geometric beyond
     log_tol = math.log(1e-10)
     log_c = math.log(c[last]) + math.log(max(ratio, 1e-300))
@@ -218,20 +220,16 @@ def bg_convolve(u_in: BGFunction, u_out: BGFunction, u: complex) -> complex:
 def bg_shifted(state: FockState, m: int, u: complex) -> complex:
     """Transformed function of the m-fold shifted state, as an integral.
 
-    For m >= 1 this is (1/(m-1)!) int_0^u (u-x)^{m-1} U(f;x) dx; m = 0 just
-    evaluates U(f;u).
+    For m >= 1 this is (1/(m-1)!) int_0^u (u-x)^{m-1} U(f;x) dx, which is
+    `bg_shifted_from_outer` of U(f) with m - 1 (U(f) has no atom); m = 0
+    just evaluates U(f;u).
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
-    u = complex(u)
     bgf = bg_function(state)
     if m == 0:
-        return complex(series_eval(bgf.smooth, u))
-    if u == 0.0:
-        return 0.0
-    x, w = _segment_quadrature(0.0, u, max(2, int(abs(u)) + 2))
-    vals = (u - x) ** (m - 1) * series_eval(bgf.smooth, x)
-    return complex(np.sum(w * vals) / math.factorial(m - 1))
+        return complex(series_eval(bgf.smooth, complex(u)))
+    return bg_shifted_from_outer(bgf, m - 1, u)
 
 
 def bg_shifted_from_outer(u_out: BGFunction, m: int, u: complex) -> complex:

@@ -1,14 +1,16 @@
 """Acceptance checks: every documented tolerance, runnable as one suite.
 
-Each check returns CheckResult records with the measured residual and the
-pinned tolerance; `run_all` executes the whole catalog and is what both the
-CLI `verify` subcommand and the acceptance tests consume. Expected values
-are computed from closed forms independent of the code paths under test
-(geometric sums, termwise transforms, explicit quadrature).
+Each check returns its measured residuals; `_CHECKS` pairs them with each
+record's name, criterion, pinned tolerance and detail, and a record passes
+when residual < tolerance. `run_all` executes the whole catalog and is what
+both the CLI `verify` subcommand and the acceptance tests consume. Expected
+values are computed from closed forms independent of the code paths under
+test (geometric sums, termwise transforms, explicit quadrature).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,14 +80,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _within(
-    criterion: int, name: str, residual: float, tolerance: float, detail: str
-) -> CheckResult:
-    """The record of a check that passes when residual <= tolerance."""
-    passed = residual <= tolerance
-    return CheckResult(criterion, name, passed, residual, tolerance, detail)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -153,71 +147,52 @@ def build_catalog(truncation: int = 64) -> list[CatalogEntry]:
     return entries
 
 
+@functools.cache
+def _factored(truncation: int, grid_size: int) -> tuple:
+    """(entry, FactoredState, seconds) for every catalog state.
+
+    Each state is factorised once per run: `_run` clears the memo.
+    """
+    out = []
+    for entry in build_catalog(truncation):
+        t0 = time.perf_counter()
+        fac = fz.factorize(entry.state, grid_size=grid_size)
+        out.append((entry, fac, time.perf_counter() - t0))
+    return tuple(out)
+
+
 # --- criterion 1: factorisation reconstruction -------------------------------
 
 
-def check_reconstruction() -> list[CheckResult]:
+def check_reconstruction() -> tuple[float, ...]:
     worst_smooth = 0.0
     worst_zero = 0.0
     slowest = 0.0
-    for entry in build_catalog(64):
-        t0 = time.perf_counter()
-        fac = fz.factorize(entry.state, grid_size=512)
-        slowest = max(slowest, time.perf_counter() - t0)
+    for entry, fac, seconds in _factored(64, 512):
+        slowest = max(slowest, seconds)
         if entry.boundary_zero:
             worst_zero = max(worst_zero, fac.reconstruction_residual)
         else:
             worst_smooth = max(worst_smooth, fac.reconstruction_residual)
-    return [
-        _within(
-            1, "reconstruction", worst_smooth, TOL_RECON,
-            "max |outer*inner - conj(f)| over the zero-free catalog",
-        ),
-        _within(
-            1, "reconstruction-boundary-zero", worst_zero, TOL_RECON_BOUNDARY_ZERO,
-            "same residual for the vacuum_plus states",
-        ),
-        _within(
-            1, "reconstruction-timing", slowest, RECON_SECONDS_PER_STATE,
-            "slowest single factorisation, seconds",
-        ),
-    ]
+    return worst_smooth, worst_zero, slowest
 
 
 # --- criterion 2: outer-criterion classifier ---------------------------------
 
 
-def check_outer_defect() -> list[CheckResult]:
+def check_outer_defect() -> tuple[float, ...]:
     worst_outer = 0.0
     worst_zero_dev = 0.0
-    for entry in build_catalog(64):
-        defect = fz.outer_defect(entry.state, grid_size=512)
+    catalog = _factored(64, 512)
+    for entry, fac, _ in catalog:
         if entry.outer and abs(entry.state.coeffs[0]) > 0:
-            worst_outer = max(worst_outer, abs(defect))
+            worst_outer = max(worst_outer, abs(fac.outer_defect))
         elif entry.expected_zeros:
             worst_zero_dev = max(
-                worst_zero_dev, abs(defect - entry.expected_defect)
+                worst_zero_dev, abs(fac.outer_defect - entry.expected_defect)
             )
-    half = fz.outer_defect(make_blaschke_state(0.5, 64), grid_size=512)
-    half_dev = abs(half - math.log(2.0))
-    return [
-        CheckResult(
-            2,
-            "defect-outer-states",
-            worst_outer < TOL_DEFECT_OUTER,
-            worst_outer,
-            TOL_DEFECT_OUTER,
-            "outer catalog states (incl. vacuum_plus) classified outer",
-        ),
-        _within(
-            2, "defect-zero-states", worst_zero_dev, TOL_DEFECT_ZEROS,
-            "defect vs sum p ln(1/|gamma|) for states with disk zeros",
-        ),
-        _within(
-            2, "defect-blaschke-half", half_dev, TOL_DEFECT_BLASCHKE_HALF,
-            "blaschke[0.5] defect vs ln 2",
-        ),
-    ]
+    half = next(fac for entry, fac, _ in catalog if entry.name == "blaschke[0.5]")
+    return worst_outer, worst_zero_dev, abs(half.outer_defect - math.log(2.0))
 
 
 # --- criterion 3: inner criteria ---------------------------------------------
@@ -229,7 +204,7 @@ def _interior_lattice() -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def check_inner_criteria() -> list[CheckResult]:
+def check_inner_criteria() -> tuple[float, ...]:
     """Boundary modulus 1 and interior bound for every computed inner part.
 
     Runs at truncation 128 so geometric tails of the radius-0.8 states sit
@@ -238,31 +213,21 @@ def check_inner_criteria() -> list[CheckResult]:
     a pointwise inner-modulus error near the zero, here 8e-4 (vacuum + |1>)
     up to 0.32 (vacuum + |7>), and on the default grid M = 4N from 7e-3 up
     to 0.59 (a documented limit; their classification is covered by the
-    defect checks). The measured figure is reported in the detail field.
+    defect checks). The measured figure is returned after the residuals,
+    for the detail field.
     """
     lattice = _interior_lattice()
     worst_boundary = 0.0
     worst_interior = 0.0
     documented = 0.0
-    for entry in build_catalog(128):
-        fac = fz.factorize(entry.state, grid_size=1024)
+    for entry, fac, _ in _factored(128, 1024):
         if entry.boundary_zero:
             documented = max(documented, fac.inner_boundary_deviation)
             continue
         worst_boundary = max(worst_boundary, fac.inner_boundary_deviation)
         mods = np.abs(series_eval(fac.inner_coeffs, lattice))
         worst_interior = max(worst_interior, float(np.max(mods)) - 1.0)
-    return [
-        _within(
-            3, "inner-boundary-modulus", worst_boundary, TOL_INNER_BOUNDARY,
-            "zero-free catalog at N=128; boundary-zero states measured at "
-            f"{documented:.2e} (documented log-singularity limit)",
-        ),
-        _within(
-            3, "inner-interior-bound", worst_interior, TOL_INNER_INTERIOR,
-            "max(|inner(z)| - 1) on the |z| <= 0.95 lattice",
-        ),
-    ]
+    return worst_boundary, worst_interior, documented
 
 
 # --- criterion 4: zero extraction --------------------------------------------
@@ -275,22 +240,13 @@ def _single_zero(state: FockState) -> complex:
     return zeros[0][0]
 
 
-def check_zero_extraction() -> list[CheckResult]:
+def check_zero_extraction() -> tuple[float, ...]:
     gamma_b = _single_zero(make_blaschke_state(0.5, 64))
     res_b = abs(gamma_b - 0.5)
     tau = 3 * math.pi / 4
     gamma_s = _single_zero(make_pi_superposition(0.8, tau, 64))
     res_s = abs(gamma_s - _pi_sup_zero(0.8, tau))
-    return [
-        _within(
-            4, "zero-blaschke", res_b, TOL_ZERO_BLASCHKE,
-            "blaschke[0.5] zero recovered",
-        ),
-        _within(
-            4, "zero-superposition", res_s, TOL_ZERO_SUPERPOSITION,
-            "superposition[0.8, 3pi/4] zero vs i cot(tau/2)/conj(z0)",
-        ),
-    ]
+    return res_b, res_s
 
 
 # --- criterion 5: shift-semigroup algebra ------------------------------------
@@ -301,7 +257,7 @@ def _random_state(rng: np.random.Generator, n: int) -> FockState:
     return FockState(c / np.linalg.norm(c), 0.0)
 
 
-def check_weyl() -> list[CheckResult]:
+def check_weyl() -> tuple[float, ...]:
     rng = np.random.default_rng(_SEED)
     worst_compose = 0.0
     worst_norm = 0.0
@@ -337,24 +293,7 @@ def check_weyl() -> list[CheckResult]:
         for m in (0, 3):
             g = weyl.shift(make_bg(u0, 64), m)
             worst_eigen = max(worst_eigen, weyl.bg_eigen_residual(g, m, u0))
-    return [
-        _within(
-            5, "compose-vs-sequential", worst_compose, TOL_WEYL_COMPOSE,
-            "100 seeded random (w1, w2, state) triples",
-        ),
-        _within(
-            5, "isometry", worst_norm, TOL_WEYL_ISOMETRY,
-            "norm preservation (rounding-level)",
-        ),
-        _within(
-            5, "phase-shift-invariance", worst_shift, TOL_SHIFT_INVARIANCE,
-            "phase distribution pointwise invariant under shifts",
-        ),
-        _within(
-            5, "eigenrelations", worst_eigen, TOL_EIGENRELATION,
-            "shifted coherent/factorial eigenvalue relations",
-        ),
-    ]
+    return worst_compose, worst_norm, worst_shift, worst_eigen
 
 
 # --- criterion 6: transformed-representation bridge --------------------------
@@ -366,16 +305,16 @@ def _sample_z(rng: np.random.Generator, count: int) -> np.ndarray:
     return x + 1j * y
 
 
-def check_bg_bridge() -> list[CheckResult]:
+def check_bg_bridge() -> tuple[float, ...]:
     rng = np.random.default_rng(_SEED + 1)
     worst_round = 0.0
     worst_conv = 0.0
-    for entry in build_catalog(64):
+    catalog = _factored(64, 512)
+    for entry, fac, _ in catalog:
         u_fn = bg.bg_function(entry.state)
         for z in _sample_z(rng, 10):
             val = bg.laplace_to_disk(u_fn, z)
             worst_round = max(worst_round, abs(val - eval_Z(entry.state, z)))
-        fac = fz.factorize(entry.state, grid_size=512)
         u_in, u_out = bg.bg_factor_parts(fac)
         us = rng.uniform(0.2, 2.0, size=10) * np.exp(
             1j * rng.uniform(-np.pi, np.pi, size=10)
@@ -385,8 +324,7 @@ def check_bg_bridge() -> list[CheckResult]:
             direct = complex(series_eval(u_fn.smooth, u))
             worst_conv = max(worst_conv, abs(conv - direct))
     worst_atom = 0.0
-    for m in range(9):
-        fac = fz.factorize(make_number(m, 64), grid_size=512)
+    for m, (_, fac, _) in enumerate(catalog[:9]):  # number[0..8]
         u_in, u_out = bg.bg_factor_parts(fac)
         expected = np.zeros(64, dtype=complex)
         expected[m] = 1.0 / math.factorial(m)
@@ -396,25 +334,7 @@ def check_bg_bridge() -> list[CheckResult]:
             float(np.max(np.abs(u_in.smooth - expected))),
             float(np.max(np.abs(u_out.smooth))),
         )
-    identity = _identity_resolution_residual(6)
-    return [
-        _within(
-            6, "laplace-roundtrip", worst_round, TOL_LAPLACE_ROUNDTRIP,
-            "quadrature transform vs direct disk evaluation, 10 z per state",
-        ),
-        _within(
-            6, "convolution-identity", worst_conv, TOL_CONVOLUTION,
-            "inner*outer convolution vs the state's transformed function",
-        ),
-        _within(
-            6, "number-state-atoms", worst_atom, TOL_NUMBER_ATOMS,
-            "atom 2 delta and monomial smooth parts, series level",
-        ),
-        _within(
-            6, "identity-resolution", identity, TOL_IDENTITY_RESOLUTION,
-            "plane-measure orthonormality for levels <= 6",
-        ),
-    ]
+    return worst_round, worst_conv, worst_atom, _identity_resolution_residual(6)
 
 
 def _identity_resolution_residual(n_top: int) -> float:
@@ -445,7 +365,7 @@ def _identity_resolution_residual(n_top: int) -> float:
 # --- criterion 7: joint number-phase function --------------------------------
 
 
-def check_wigner() -> list[CheckResult]:
+def check_wigner() -> tuple[float, ...]:
     worst_num = 0.0
     worst_phase = 0.0
     for entry in build_catalog(64):
@@ -484,30 +404,13 @@ def check_wigner() -> list[CheckResult]:
         (make_pi_superposition(0.6, 2.5, 64), weyl.IDENTITY),
     ):
         worst_cov = max(worst_cov, shift_covariance_check(state, w, n_max=24))
-    return [
-        _within(
-            7, "number-marginal", worst_num, TOL_MARGINAL_NUMBER,
-            "angle marginal vs |f_n|^2, catalog at n_max=64, M=512",
-        ),
-        _within(
-            7, "phase-marginal", worst_phase, TOL_MARGINAL_PHASE,
-            "level marginal vs phase distribution",
-        ),
-        _within(
-            7, "closed-forms", worst_closed, TOL_CLOSED_FORM,
-            "printed closed forms vs direct sum on a 16x64 lattice",
-        ),
-        _within(
-            7, "shift-covariance", worst_cov, TOL_SHIFT_COVARIANCE,
-            "lattice displacement law under the shift semigroup",
-        ),
-    ]
+    return worst_num, worst_phase, worst_closed, worst_cov
 
 
 # --- criterion 8: kernel limits ----------------------------------------------
 
 
-def check_kernels() -> list[CheckResult]:
+def check_kernels() -> tuple[float, ...]:
     r = 1.0 - 1e-3
     theta = np.linspace(0.3, np.pi - 0.3, 101)
     rel = np.abs(conjugate(r, theta) / (1.0 / np.tan(theta / 2.0)) - 1.0)
@@ -517,16 +420,7 @@ def check_kernels() -> list[CheckResult]:
     for rr in (0.0, 0.5, 0.9, 0.99):
         mass = float(np.mean(poisson(rr, grid)))
         worst_mass = max(worst_mass, abs(mass - 1.0))
-    return [
-        _within(
-            8, "conjugate-kernel-cotangent", worst_rel, TOL_KERNEL_COT_REL,
-            "r = 1 - 1e-3, theta in [0.3, pi - 0.3]",
-        ),
-        _within(
-            8, "poisson-mass", worst_mass, TOL_POISSON_MASS,
-            "unit mean over the circle for r <= 0.99",
-        ),
-    ]
+    return worst_rel, worst_mass
 
 
 # --- suite --------------------------------------------------------------------
@@ -542,63 +436,106 @@ class VerificationReport:
         return all(r.passed for r in self.results)
 
 
-# every check with the names of the records it returns, in run order
+# every check with its records (name, criterion, tolerance, detail), in run
+# order; a check returns one residual per record, then any values its
+# details format
 _CHECKS = (
-    (
-        check_reconstruction,
-        ("reconstruction", "reconstruction-boundary-zero", "reconstruction-timing"),
-    ),
-    (
-        check_outer_defect,
-        ("defect-outer-states", "defect-zero-states", "defect-blaschke-half"),
-    ),
-    (check_inner_criteria, ("inner-boundary-modulus", "inner-interior-bound")),
-    (check_zero_extraction, ("zero-blaschke", "zero-superposition")),
-    (
-        check_weyl,
-        (
-            "compose-vs-sequential",
-            "isometry",
-            "phase-shift-invariance",
-            "eigenrelations",
-        ),
-    ),
-    (
-        check_bg_bridge,
-        (
-            "laplace-roundtrip",
-            "convolution-identity",
-            "number-state-atoms",
-            "identity-resolution",
-        ),
-    ),
-    (
-        check_wigner,
-        ("number-marginal", "phase-marginal", "closed-forms", "shift-covariance"),
-    ),
-    (check_kernels, ("conjugate-kernel-cotangent", "poisson-mass")),
+    (check_reconstruction, (
+        ("reconstruction", 1, TOL_RECON,
+         "max |outer*inner - conj(f)| over the zero-free catalog"),
+        ("reconstruction-boundary-zero", 1, TOL_RECON_BOUNDARY_ZERO,
+         "same residual for the vacuum_plus states"),
+        ("reconstruction-timing", 1, RECON_SECONDS_PER_STATE,
+         "slowest single factorisation, seconds"),
+    )),
+    (check_outer_defect, (
+        ("defect-outer-states", 2, TOL_DEFECT_OUTER,
+         "outer catalog states (incl. vacuum_plus) classified outer"),
+        ("defect-zero-states", 2, TOL_DEFECT_ZEROS,
+         "defect vs sum p ln(1/|gamma|) for states with disk zeros"),
+        ("defect-blaschke-half", 2, TOL_DEFECT_BLASCHKE_HALF,
+         "blaschke[0.5] defect vs ln 2"),
+    )),
+    (check_inner_criteria, (
+        ("inner-boundary-modulus", 3, TOL_INNER_BOUNDARY,
+         "zero-free catalog at N=128; boundary-zero states measured at "
+         "{0:.2e} (documented log-singularity limit)"),
+        ("inner-interior-bound", 3, TOL_INNER_INTERIOR,
+         "max(|inner(z)| - 1) on the |z| <= 0.95 lattice"),
+    )),
+    (check_zero_extraction, (
+        ("zero-blaschke", 4, TOL_ZERO_BLASCHKE, "blaschke[0.5] zero recovered"),
+        ("zero-superposition", 4, TOL_ZERO_SUPERPOSITION,
+         "superposition[0.8, 3pi/4] zero vs i cot(tau/2)/conj(z0)"),
+    )),
+    (check_weyl, (
+        ("compose-vs-sequential", 5, TOL_WEYL_COMPOSE,
+         "100 seeded random (w1, w2, state) triples"),
+        ("isometry", 5, TOL_WEYL_ISOMETRY, "norm preservation (rounding-level)"),
+        ("phase-shift-invariance", 5, TOL_SHIFT_INVARIANCE,
+         "phase distribution pointwise invariant under shifts"),
+        ("eigenrelations", 5, TOL_EIGENRELATION,
+         "shifted coherent/factorial eigenvalue relations"),
+    )),
+    (check_bg_bridge, (
+        ("laplace-roundtrip", 6, TOL_LAPLACE_ROUNDTRIP,
+         "quadrature transform vs direct disk evaluation, 10 z per state"),
+        ("convolution-identity", 6, TOL_CONVOLUTION,
+         "inner*outer convolution vs the state's transformed function"),
+        ("number-state-atoms", 6, TOL_NUMBER_ATOMS,
+         "atom 2 delta and monomial smooth parts, series level"),
+        ("identity-resolution", 6, TOL_IDENTITY_RESOLUTION,
+         "plane-measure orthonormality for levels <= 6"),
+    )),
+    (check_wigner, (
+        ("number-marginal", 7, TOL_MARGINAL_NUMBER,
+         "angle marginal vs |f_n|^2, catalog at n_max=64, M=512"),
+        ("phase-marginal", 7, TOL_MARGINAL_PHASE,
+         "level marginal vs phase distribution"),
+        ("closed-forms", 7, TOL_CLOSED_FORM,
+         "printed closed forms vs direct sum on a 16x64 lattice"),
+        ("shift-covariance", 7, TOL_SHIFT_COVARIANCE,
+         "lattice displacement law under the shift semigroup"),
+    )),
+    (check_kernels, (
+        ("conjugate-kernel-cotangent", 8, TOL_KERNEL_COT_REL,
+         "r = 1 - 1e-3, theta in [0.3, pi - 0.3]"),
+        ("poisson-mass", 8, TOL_POISSON_MASS,
+         "unit mean over the circle for r <= 0.99"),
+    )),
 )
 SUITE_RUNTIME = "suite-runtime"
+_SUITE_RECORD = (
+    SUITE_RUNTIME, 9, TIME_BUDGET_SECONDS,
+    "wall-clock seconds for the whole verification catalog",
+)
 
 
 def _run(checks) -> VerificationReport:
+    """Run `checks` and pair each residual with its record; the memo of
+    factorised catalog states lives for this run only."""
+    measured = []  # (record, residual, values its detail formats)
+    _factored.cache_clear()
     t0 = time.perf_counter()
-    results: list[CheckResult] = []
-    for check in checks:
-        results.extend(check())
+    try:
+        for check, records in checks:
+            values = check()
+            extra = values[len(records):]
+            measured += [(rec, res, extra) for rec, res in zip(records, values)]
+    finally:
+        _factored.cache_clear()
     elapsed = time.perf_counter() - t0
-    results.append(
-        _within(
-            9, SUITE_RUNTIME, elapsed, TIME_BUDGET_SECONDS,
-            "wall-clock seconds for the whole verification catalog",
-        )
-    )
+    measured.append((_SUITE_RECORD, elapsed, ()))
+    results = [
+        CheckResult(criterion, name, res < tol, res, tol, detail.format(*extra))
+        for (name, criterion, tol, detail), res, extra in measured
+    ]
     return VerificationReport(results, elapsed)
 
 
 def run_all() -> VerificationReport:
     """Run every check; the final record is the wall-clock budget."""
-    return _run(check for check, _ in _CHECKS)
+    return _run(_CHECKS)
 
 
 def run_matching(text: str) -> VerificationReport:
@@ -612,7 +549,9 @@ def run_matching(text: str) -> VerificationReport:
         report = run_all()
     else:
         report = _run(
-            check for check, names in _CHECKS if any(text in n for n in names)
+            (check, records)
+            for check, records in _CHECKS
+            if any(text in name for name, *_ in records)
         )
     results = [r for r in report.results if text in r.name]
     return VerificationReport(results, report.elapsed_seconds)

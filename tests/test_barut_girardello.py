@@ -23,6 +23,7 @@ from diskphase import (
     make_number,
     make_pi_superposition,
     make_su11_cs,
+    raw_state,
     shift,
     superpose,
 )
@@ -60,6 +61,11 @@ class TestBGFunction:
         ufn = bg_function(make_su11_cs(0.8, 32))
         with pytest.warns(UserWarning):
             ufn(ufn.radius_hint * 4.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_next_to_last_coefficient_does_not_overflow(self):
+        ufn = bg_function(raw_state(np.array([1e-320, 1.0])))
+        assert ufn.radius_hint > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_overflow_past_170_factorial(self):
@@ -222,6 +228,11 @@ class TestShiftedIntegrals:
             assert bg_shifted(s, m, u) == pytest.approx(
                 complex(series_eval(shifted_series.smooth, u)), abs=1e-10
             )
+
+    def test_shift_at_the_origin_is_complex_zero(self):
+        for m in (1, 3):
+            val = bg_shifted(make_su11_cs(0.5, 16), m, 0.0)
+            assert isinstance(val, complex) and val == 0
 
     def test_vacuum_single_shift_is_linear(self):
         val = bg_shifted(make_number(0, 8), 1, 0.9 + 0.1j)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -592,14 +593,14 @@ class TestVerifyCommand:
     def test_only_runs_the_matching_check(self, capsys, monkeypatch):
         called = []
 
-        def spy(check, names):
+        def spy(check, records):
             def run():
                 called.append(check.__name__)
-                if "poisson-mass" not in names:
+                if "poisson-mass" not in [name for name, *_ in records]:
                     raise AssertionError(f"{check.__name__} should not run")
                 return check()
 
-            return run, names
+            return run, records
 
         monkeypatch.setattr(
             verification, "_CHECKS", tuple(spy(*c) for c in verification._CHECKS)
@@ -613,7 +614,9 @@ class TestVerifyCommand:
         assert lines[1].startswith("elapsed: ")
 
     def test_declared_names_match_the_catalog(self):
-        declared = [name for _, names in verification._CHECKS for name in names]
+        declared = [
+            name for _, records in verification._CHECKS for name, *_ in records
+        ]
         produced = [r.name for r in verification.run_all().results]
         assert produced == declared + [verification.SUITE_RUNTIME]
 
@@ -623,14 +626,37 @@ class TestVerifyCommand:
             verification,
             "_CHECKS",
             tuple(
-                (lambda c=c: called.append(c) or [], names)
-                for c, names in verification._CHECKS
+                (lambda c=c: called.append(c) or [], records)
+                for c, records in verification._CHECKS
             ),
         )
         code, out, _ = run(capsys, "verify", "--only", "runtime", "--format", "csv")
         assert code == EXIT_OK
         assert len(called) == len(verification._CHECKS)
         assert out.splitlines()[0].startswith("PASS [9] suite-runtime: ")
+
+    def test_each_catalog_state_is_factorised_once_per_run(self, monkeypatch):
+        factorized = Counter()
+        defects = []
+        factorize = verification.fz.factorize
+        outer_defect = verification.fz.outer_defect
+
+        def spy(state, grid_size=None, **kw):
+            factorized[state.truncation, grid_size] += 1
+            return factorize(state, grid_size=grid_size, **kw)
+
+        def defect_spy(state, *args, **kw):
+            defects.append(state)
+            return outer_defect(state, *args, **kw)
+
+        monkeypatch.setattr(verification.fz, "factorize", spy)
+        monkeypatch.setattr(verification.fz, "outer_defect", defect_spy)
+        assert verification.run_all().all_passed
+        assert factorized == {(64, 512): 32, (128, 1024): 32}
+        assert defects == []
+        # the memo lives for one run: a second run factorises again
+        verification.run_all()
+        assert factorized == {(64, 512): 64, (128, 1024): 64}
 
     def test_size_flags_rejected(self, capsys):
         for flag in ("--n", "--grid", "--outer-tol", "--edge-margin"):
