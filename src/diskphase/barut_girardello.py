@@ -30,6 +30,7 @@ from .series import series_eval
 from .states import FockState
 
 _GL_ORDER = 64
+_REPRESENTED = 171  # 1/n! is a normal double for n < 171, then underflows
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # Trapezoid rule for K0(x) = int_0^inf e^{-x cosh t} dt (Trefethen & Weideman,
@@ -89,23 +90,22 @@ class BGFunction:
                 f"{self.radius_hint:.3g}; truncation error may exceed 1e-10",
                 stacklevel=2,
             )
-        out = series_eval(self.smooth, u)
-        return complex(out) if out.ndim == 0 else out
+        return series_eval(self.smooth, u)
 
 
 def _validated_radius(smooth: np.ndarray) -> float:
     """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
 
     The next-coefficient magnitude is estimated by geometric extrapolation
-    of the trailing coefficients; a polynomial with a zero tail validates
-    everywhere up to the cap.
+    of the trailing coefficients; a zero tail after a normal coefficient is
+    an exact polynomial, which validates everywhere up to the cap.
     """
-    c = np.abs(np.asarray(smooth))
+    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
     nz = np.nonzero(c > 0)[0]
     if nz.size == 0:
         return 1e6
     last = nz[-1]
-    if last < smooth.size - 1 or last == 0:
+    if (last < c.size - 1 and c[last] >= np.finfo(float).tiny) or last == 0:
         return 1e6  # exact polynomial: no truncated tail
     # divide only where the quotient is below 1: a subnormal c[last - 1]
     # under a larger c[last] would overflow
@@ -133,9 +133,10 @@ def bg_function(state: FockState) -> BGFunction:
 def _growth_rate(smooth: np.ndarray) -> float:
     """Exponential-type estimate limsup |n! g_n|^{1/n} of the smooth part.
 
-    Taken in logs, so n! never has to be formed.
+    Taken in logs, so n! never has to be formed, from the top half of the
+    coefficients that 1/n! still represents.
     """
-    c = np.abs(np.asarray(smooth))
+    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
     n = np.arange(max(8, c.size // 2), c.size)
     n = n[c[n] > 0]
     if n.size == 0:
@@ -143,43 +144,45 @@ def _growth_rate(smooth: np.ndarray) -> float:
     return float(np.exp(np.max((np.log(c[n]) + _log_factorial(n)) / n)))
 
 
-def _segment_quadrature(a: complex, b: complex, panels: int):
-    """Gauss-Legendre nodes/weights on the straight segment from a to b."""
+def _segment_quadrature(b, panels: int):
+    """Gauss-Legendre nodes x = t b and weights on each segment [0, b], along
+    a new last axis: every segment maps the same nodes t on [0, 1]."""
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     t = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_ORDER)).ravel()
-    return a + (b - a) * t, (b - a) * w
+    b = np.asarray(b)[..., None]
+    return b * t, b * w
 
 
-def laplace_to_disk(bgf: BGFunction, z: complex) -> complex:
+def laplace_to_disk(bgf: BGFunction, z):
     """(1/z) int_0^inf U(u) e^{-u/z} du by panelled Gauss-Legendre quadrature.
 
-    Valid for Re z > 0. The horizon is set where the integrand's decay
-    margin (Re(1/z) minus the growth rate of U) has suppressed the tail
-    below ~1e-13; too small a margin is refused as ill-conditioned.
+    Valid for Re z > 0; the points of an array z share one node set. Its
+    horizon is where the smallest decay margin (Re(1/z) minus the growth
+    rate of U) has suppressed the tail below ~1e-13, and its panels resolve
+    the largest |Im(1/z)|; too small a margin is refused as ill-conditioned.
     """
-    z = complex(z)
-    if z.real <= 0.0:
+    z = np.asarray(z, dtype=complex)
+    if (z.real <= 0.0).any():
         raise DomainError("the transform integral needs Re z > 0")
-    if abs(z) >= 1.0:
+    if (abs(z) >= 1.0).any():
         raise DomainError("|z| must be < 1")
-    decay = (1.0 / z).real
-    margin = decay - _growth_rate(bgf.smooth)
+    inv = 1.0 / z
+    margin = inv.real.min() - _growth_rate(bgf.smooth)
     if margin < 0.05:
         raise IllConditionedError(
             "Re(1/z) too close to the growth rate of U; integral is not "
             "numerically resolvable at this z"
         )
     horizon = (34.0 + 0.5 * math.log1p(bgf.smooth.size)) / margin
-    osc = abs((1.0 / z).imag)
+    osc = abs(inv.imag).max()
     width = min(1.0, 2.0 * np.pi / (4.0 * osc + 1e-12), horizon)
     panels = max(8, int(math.ceil(horizon / width)))
-    u, w = _segment_quadrature(0.0, horizon, panels)
-    integrand = series_eval(bgf.smooth, u) * np.exp(-u / z)
-    total = np.sum(w * integrand) + 0.5 * bgf.atom
-    return complex(total / z)
+    u, w = _segment_quadrature(horizon, panels)
+    integrand = series_eval(bgf.smooth, u) * np.exp(-u / z[..., None])
+    return (np.sum(w * integrand, axis=-1) + 0.5 * bgf.atom) / z
 
 
 def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
@@ -201,51 +204,48 @@ def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
     return u_in, u_out
 
 
-def bg_convolve(u_in: BGFunction, u_out: BGFunction, u: complex) -> complex:
+def bg_convolve(u_in: BGFunction, u_out: BGFunction, u):
     """int_0^u U_in(x) U_out(u - x) dx along the straight segment.
 
     Endpoint atoms contribute half weight: the atom of U_out sits at x = u,
-    the (normally absent) atom of U_in at x = 0.
+    the (normally absent) atom of U_in at x = 0. The points of an array u
+    share the nodes t u, with one panel per unit of the largest |u|.
     """
-    u = complex(u)
-    total = 0.5 * u_out.atom * complex(series_eval(u_in.smooth, u))
-    total += 0.5 * u_in.atom * complex(series_eval(u_out.smooth, u))
-    if u != 0.0:
-        x, w = _segment_quadrature(0.0, u, max(2, int(abs(u)) + 2))
-        vals = series_eval(u_in.smooth, x) * series_eval(u_out.smooth, u - x)
-        total += complex(np.sum(w * vals))
-    return total
+    u = np.asarray(u, dtype=complex)
+    x, w = _segment_quadrature(u, max(2, int(abs(u).max()) + 2))
+    vals = series_eval(u_in.smooth, x) * series_eval(u_out.smooth, u[..., None] - x)
+    total = 0.5 * u_out.atom * series_eval(u_in.smooth, u)
+    total += 0.5 * u_in.atom * series_eval(u_out.smooth, u)
+    return total + np.sum(w * vals, axis=-1)
 
 
-def bg_shifted(state: FockState, m: int, u: complex) -> complex:
+def bg_shifted(state: FockState, m: int, u):
     """Transformed function of the m-fold shifted state, as an integral.
 
     For m >= 1 this is (1/(m-1)!) int_0^u (u-x)^{m-1} U(f;x) dx, which is
     `bg_shifted_from_outer` of U(f) with m - 1 (U(f) has no atom); m = 0
-    just evaluates U(f;u).
+    just evaluates U(f;u). u is a point or an array of points.
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
     bgf = bg_function(state)
     if m == 0:
-        return complex(series_eval(bgf.smooth, complex(u)))
+        return series_eval(bgf.smooth, np.asarray(u, dtype=complex))
     return bg_shifted_from_outer(bgf, m - 1, u)
 
 
-def bg_shifted_from_outer(u_out: BGFunction, m: int, u: complex) -> complex:
+def bg_shifted_from_outer(u_out: BGFunction, m: int, u):
     """Same shifted function, built from the outer factor part instead.
 
     (1/m!) int_0^u (u-x)^m U_out(x) dx, the atom at x = 0 entering with
-    half weight.
+    half weight; u is a point or an array of points, as in `bg_convolve`.
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
-    u = complex(u)
-    total = 0.5 * u_out.atom * u**m
-    if u != 0.0:
-        x, w = _segment_quadrature(0.0, u, max(2, int(abs(u)) + 2))
-        total += complex(np.sum(w * (u - x) ** m * series_eval(u_out.smooth, x)))
-    return complex(total / math.factorial(m))
+    u = np.asarray(u, dtype=complex)
+    x, w = _segment_quadrature(u, max(2, int(abs(u).max()) + 2))
+    integrand = w * (u[..., None] - x) ** m * series_eval(u_out.smooth, x)
+    return (0.5 * u_out.atom * u**m + np.sum(integrand, axis=-1)) / math.factorial(m)
 
 
 def _k0(x) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import barut_girardello as bg
 from . import verification
 from . import weyl as weyl_mod
 from .disk import boundary, default_grid_size
-from .errors import AliasingError, DiskPhaseError, SpecError
+from .errors import AliasingError, DiskPhaseError, IllConditionedError, SpecError
 from .factorization import (
     DEFAULT_EDGE_MARGIN,
     DEFAULT_OUTER_TOL,
@@ -362,7 +362,10 @@ def cmd_bg(args) -> int:
     u_in, u_out = bg.bg_factor_parts(factorize(state, grid_size=m))
     ts = np.linspace(0.0, args.tmax, args.points)
     ray = ts * np.exp(1j * args.arg)
-    values = u_fn(ray)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u_fn(ray)
+    if not np.all(np.isfinite(values)):
+        raise IllConditionedError(f"U(u) overflows on the ray up to t = {args.tmax:g}")
     atoms = {
         "atom_in": complex_pairs(u_in.atom),
         "atom_out": complex_pairs(u_out.atom),

@@ -76,6 +76,24 @@ class TestBGFunction:
             eval_Z(make_su11_cs(0.5, 256), 0.3), abs=1e-10
         )
 
+    @pytest.mark.parametrize("z, n", [(0.9, 512), (0.5, 256), (0.5, 171)])
+    def test_underflowed_tail_is_not_an_exact_polynomial(self, z, n):
+        state = make_su11_cs(z, n)
+        # g_n = conj(f_n)/n! underflows to 0 past n ~ 150-178; the radius must
+        # bound the tail it dropped, sum |f_n| r^n / n!, below 1e-10
+        ufn = bg_function(state)
+        r = ufn.radius_hint
+        assert r < 1e6
+        dropped = np.flatnonzero(ufn.smooth == 0)
+        log_terms = [
+            math.log(abs(state.coeffs[n])) + n * math.log(r) - math.lgamma(n + 1.0)
+            for n in dropped
+        ]
+        assert sum(math.exp(t) for t in log_terms) < 1e-10
+
+    def test_exact_polynomial_validates_to_the_cap(self):
+        assert bg_function(make_number(5, 256)).radius_hint == 1e6
+
 
 class TestLaplaceToDisk:
     def test_number_state_powers(self):
@@ -104,6 +122,15 @@ class TestLaplaceToDisk:
         ufn = bg_function(make_su11_cs(0.8, 64))
         with pytest.raises(IllConditionedError):
             laplace_to_disk(ufn, 0.6 + 0.75j)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_growth_rate_past_the_underflow_of_inverse_factorials(self, n):
+        # the growth estimate reads coefficients 1/n! still represents; for
+        # N >= 352 the top half of the series is all zeros
+        s = make_su11_cs(0.9, n)
+        assert laplace_to_disk(bg_function(s), 0.95) == pytest.approx(
+            eval_Z(s, 0.95), abs=1e-8
+        )
 
     def test_roundtrip_catalog_sample(self):
         states = [
@@ -256,6 +283,94 @@ class TestShiftedIntegrals:
                 assert bg_shifted_from_outer(u_out, m, u) == pytest.approx(
                     bg_shifted(s, m, u), abs=1e-8
                 )
+
+
+_ARRAY_STATES = [
+    make_su11_cs(0.5 * np.exp(0.3j), 64),
+    make_bg(2j, 64),
+    make_pi_superposition(0.8, 3 * math.pi / 4, 64),
+    superpose([make_number(0, 64), make_number(3, 64)], [1, 1]),
+    make_number(5, 32),
+]
+
+
+def _points(rng, shape, low, high):
+    """Points of modulus in [low, high) at uniform angles, the origin first."""
+    u = rng.uniform(low, high, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    u.flat[0] = 0.0
+    return u
+
+
+def _pointwise(fn, points):
+    return np.array([fn(p) for p in points.ravel()]).reshape(points.shape)
+
+
+@pytest.mark.parametrize("state", _ARRAY_STATES)
+@pytest.mark.parametrize("shape", [(7,), (3, 4)])
+class TestArrayPoints:
+    """An array of points goes through one node set per call."""
+
+    def test_laplace_at_least_as_accurate_as_scalar_calls(self, state, shape):
+        # the shared horizon and panels are those of the hardest point, so each
+        # point is integrated at least as far and as finely as on its own; the
+        # longer sum may round a few ulps of these O(1) values differently
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.15, 0.45, shape)
+        z = x + 1j * rng.uniform(-0.5, 0.5, shape) * x
+        ufn = bg_function(state)
+        got = laplace_to_disk(ufn, z)
+        alone = _pointwise(lambda p: laplace_to_disk(ufn, p), z)
+        exact = eval_Z(state, z)
+        assert got.shape == shape
+        assert np.all(np.abs(got - exact) <= np.abs(alone - exact) + 4e-15)
+
+    def test_laplace_equal_margins_match_scalar_calls(self, state, shape):
+        # z and conj(z) share Re(1/z) and |Im(1/z)|, hence one node set
+        z = np.resize([0.3 + 0.1j, 0.3 - 0.1j], shape)
+        ufn = bg_function(state)
+        got = laplace_to_disk(ufn, z)
+        alone = _pointwise(lambda p: laplace_to_disk(ufn, p), z)
+        np.testing.assert_allclose(got, alone, rtol=0, atol=1e-15)
+
+    def test_convolve_and_shifts_match_scalar_calls(self, state, shape):
+        # the segment integrands are polynomials that every panel integrates
+        # exactly, so the shared panel count changes rounding only
+        u = _points(np.random.default_rng(8), shape, 0.0, 3.0)
+        u_in, u_out = bg_factor_parts(factorize(state, grid_size=512))
+        calls = [lambda p: bg_convolve(u_in, u_out, p)]
+        calls += [lambda p, m=m: bg_shifted(state, m, p) for m in (0, 1, 3)]
+        calls += [lambda p, m=m: bg_shifted_from_outer(u_out, m, p) for m in (0, 2)]
+        for fn in calls:
+            got = fn(u)
+            assert got.shape == shape
+            np.testing.assert_allclose(got, _pointwise(fn, u), rtol=0, atol=1e-15)
+
+
+class TestArrayErrors:
+    def test_one_bad_point_in_an_array_raises(self):
+        ufn = bg_function(make_su11_cs(0.8, 64))
+        good = [0.2, 0.3 + 0.1j]
+        with pytest.raises(DomainError):
+            laplace_to_disk(ufn, [*good, -0.2 + 0.1j])
+        with pytest.raises(DomainError):
+            laplace_to_disk(ufn, [[*good], [0.99 + 0.5j, 0.3]])
+        with pytest.raises(IllConditionedError):
+            laplace_to_disk(ufn, [*good, 0.6 + 0.75j])
+
+    def test_scalar_calls_return_complex(self):
+        s = make_su11_cs(0.5, 32)
+        u_in, u_out = bg_factor_parts(factorize(s))
+        values = [
+            laplace_to_disk(bg_function(s), 0.3),
+            bg_convolve(u_in, u_out, 1.0),
+            bg_convolve(u_in, u_out, 0.0),
+            bg_shifted(s, 0, 0.5),
+            bg_shifted(s, 2, 0.5j),
+            bg_shifted_from_outer(u_out, 1, 0.0),
+            bg_function(s)(0.5),
+        ]
+        for v in values:
+            assert isinstance(v, complex) and np.ndim(v) == 0
 
 
 class TestFactorials:

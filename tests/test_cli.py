@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -455,6 +456,17 @@ class TestExitCodes:
         assert json.loads(out)["ray"]["t"] == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bg_overflow_on_the_ray_exits_numeric(self, capsys):
+        # u^3 overflows at |u| = 1e300: exit 3 rather than NaN in the JSON
+        with pytest.warns(UserWarning, match="beyond the validated radius"):
+            code, out, err = run(
+                capsys, "bg", "--json", '{"kind":"number","m":3}', "--n", "8",
+                "--tmax=1e300", "--points", "3",
+            )
+        assert code == EXIT_NUMERIC and out == ""
+        assert "overflows" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "spec",
         [
@@ -658,6 +670,23 @@ class TestVerifyCommand:
         verification.run_all()
         assert factorized == {(64, 512): 64, (128, 1024): 64}
 
+    def test_bg_bridge_makes_one_call_per_state_and_transform(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(verification.bg, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verification.bg, name, counted)
+
+        spy("laplace_to_disk")
+        spy("bg_convolve")
+        assert verification.run_all().all_passed
+        assert calls == {"laplace_to_disk": 32, "bg_convolve": 32}
+
     def test_size_flags_rejected(self, capsys):
         for flag in ("--n", "--grid", "--outer-tol", "--edge-margin"):
             with pytest.raises(SystemExit) as exc:
@@ -689,7 +718,7 @@ def _no_constant(name):
 
 
 _PAIRS = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)
-_FUZZ_SPECS = st.one_of(
+_PLAIN_SPECS = st.one_of(
     st.builds(lambda m: {"kind": "number", "m": m}, st.integers(0, 40)),
     st.builds(lambda z: {"kind": "su11_cs", "z": z}, _PAIRS),
     st.builds(
@@ -702,11 +731,37 @@ _FUZZ_SPECS = st.one_of(
         st.lists(st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
                  min_size=1, max_size=40),
     ),
+    st.builds(lambda z: {"kind": "blaschke", "z": z}, _PAIRS),
+    st.builds(
+        lambda u: {"kind": "bg", "u": u},
+        st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2),
+    ),
+)
+_FUZZ_SPECS = _PLAIN_SPECS | st.builds(
+    lambda parts, amps: {"kind": "superpose", "components": parts, "amplitudes": amps},
+    st.lists(_PLAIN_SPECS, min_size=1, max_size=3),
+    st.lists(_PAIRS, min_size=1, max_size=3),
 )
 
 
+def _fuzz_main(argv):
+    """Run main(argv); return its exit code, stdout, stderr and warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_SPEC, EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert out.getvalue() == ""
+    return code, err.getvalue(), caught
+
+
 class TestFuzz:
-    """wigner and phase-dist over specs and flags: a documented exit, never a
+    """Subcommands over specs and flags: a documented exit, never a
     traceback, and on success JSON with no NaN or Infinity. Every size here
     is far below MAX_CELLS."""
 
@@ -728,12 +783,32 @@ class TestFuzz:
             argv += ["--weyl", "%d:%r:%r" % weyl]
         if grid is not None:
             argv += ["--grid", str(grid)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (EXIT_OK, EXIT_SPEC, EXIT_NUMERIC), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        _fuzz_main(argv)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["state", "factor", "bg"]),
+        _FUZZ_SPECS,
+        st.integers(1, 32),
+        st.none() | st.integers(0, 10).map(lambda k: 2**k),
+        st.none() | st.floats(-0.5, 1.5),
+        st.none() | st.floats(allow_nan=True, allow_infinity=True),
+        st.none() | st.integers(-2, 300),
+    )
+    def test_state_factor_bg(self, command, spec, n, grid, edge_margin, tmax, points):
+        argv = [command, "--json", json.dumps(spec), "--n", str(n)]
+        if command != "state" and grid is not None:
+            argv += ["--grid", str(grid)]
+        if command == "factor" and edge_margin is not None:
+            argv += [f"--edge-margin={edge_margin!r}"]
+        if command == "bg" and tmax is not None:
+            argv += [f"--tmax={tmax!r}"]
+        if command == "bg" and points is not None:
+            argv += ["--points", str(points)]
+        code, err, caught = _fuzz_main(argv)
         if code == EXIT_OK:
-            json.loads(out.getvalue(), parse_constant=_no_constant)
-        else:
-            assert out.getvalue() == ""
+            # only bg has a documented warning on success
+            assert err == ""
+            for w in caught:
+                assert command == "bg" and w.category is UserWarning, w
+                assert "beyond the validated radius" in str(w.message)
