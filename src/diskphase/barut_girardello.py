@@ -230,7 +230,7 @@ def bg_shifted(state: FockState, m: int, u):
         raise DomainError("shift must be non-negative")
     bgf = bg_function(state)
     if m == 0:
-        return series_eval(bgf.smooth, np.asarray(u, dtype=complex))
+        return series_eval(bgf.smooth, u)
     return bg_shifted_from_outer(bgf, m - 1, u)
 
 

@@ -745,7 +745,7 @@ _FUZZ_SPECS = _PLAIN_SPECS | st.builds(
 
 
 def _fuzz_main(argv):
-    """Run main(argv); return its exit code, stdout, stderr and warnings."""
+    """Run main(argv) and check its exit, its output and its warnings."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
@@ -753,11 +753,16 @@ def _fuzz_main(argv):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_SPEC, EXIT_NUMERIC), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if code == EXIT_OK:
-        json.loads(out.getvalue(), parse_constant=_no_constant)
-    else:
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    if code != EXIT_OK:
         assert out.getvalue() == ""
-    return code, err.getvalue(), caught
+        return
+    json.loads(out.getvalue(), parse_constant=_no_constant)
+    assert err.getvalue() == ""
+    # the one documented warning on success: bg evaluating past the radius
+    for w in caught:
+        assert argv[0] == "bg" and w.category is UserWarning, w
+        assert "beyond the validated radius" in str(w.message)
 
 
 class TestFuzz:
@@ -805,10 +810,4 @@ class TestFuzz:
             argv += [f"--tmax={tmax!r}"]
         if command == "bg" and points is not None:
             argv += ["--points", str(points)]
-        code, err, caught = _fuzz_main(argv)
-        if code == EXIT_OK:
-            # only bg has a documented warning on success
-            assert err == ""
-            for w in caught:
-                assert command == "bg" and w.category is UserWarning, w
-                assert "beyond the validated radius" in str(w.message)
+        _fuzz_main(argv)
