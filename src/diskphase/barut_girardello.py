@@ -93,19 +93,20 @@ class BGFunction:
         return series_eval(self.smooth, u)
 
 
-def _validated_radius(smooth: np.ndarray) -> float:
+def _validated_radius(smooth: np.ndarray, source: np.ndarray) -> float:
     """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
 
-    The next-coefficient magnitude is estimated by geometric extrapolation
-    of the trailing coefficients; a zero tail after a normal coefficient is
-    an exact polynomial, which validates everywhere up to the cap.
+    smooth holds source_n / n!. The next-coefficient magnitude is estimated
+    by geometric extrapolation of the trailing coefficients that 1/n! still
+    represents; a source whose zero tail starts there is an exact polynomial,
+    which validates everywhere up to the cap.
     """
     c = np.abs(np.asarray(smooth))[:_REPRESENTED]
     nz = np.nonzero(c > 0)[0]
     if nz.size == 0:
         return 1e6
     last = nz[-1]
-    if (last < c.size - 1 and c[last] >= np.finfo(float).tiny) or last == 0:
+    if (last < source.size - 1 and not source[last + 1 :].any()) or last == 0:
         return 1e6  # exact polynomial: no truncated tail
     # divide only where the quotient is below 1: a subnormal c[last - 1]
     # under a larger c[last] would overflow
@@ -124,10 +125,15 @@ def _validated_radius(smooth: np.ndarray) -> float:
     return t / 1.25
 
 
+def _smooth_part(atom: complex, source: np.ndarray) -> BGFunction:
+    """The point mass `atom` plus the series g_n = source_n / n!."""
+    smooth = source * _inverse_factorials(source.size)
+    return BGFunction(atom, smooth, _validated_radius(smooth, source))
+
+
 def bg_function(state: FockState) -> BGFunction:
     """Representation of a plain state: no atom, g_n = conj(f_n)/n!."""
-    smooth = np.conj(state.coeffs) * _inverse_factorials(state.truncation)
-    return BGFunction(0.0, smooth, _validated_radius(smooth))
+    return _smooth_part(0.0, np.conj(state.coeffs))
 
 
 def _growth_rate(smooth: np.ndarray) -> float:
@@ -159,28 +165,33 @@ def _segment_quadrature(b, panels: int):
 def laplace_to_disk(bgf: BGFunction, z):
     """(1/z) int_0^inf U(u) e^{-u/z} du by panelled Gauss-Legendre quadrature.
 
-    Valid for Re z > 0; the points of an array z share one node set. Its
-    horizon is where the smallest decay margin (Re(1/z) minus the growth
-    rate of U) has suppressed the tail below ~1e-13, and its panels resolve
-    the largest |Im(1/z)|; too small a margin is refused as ill-conditioned.
+    Valid for Re z > 0; the points of an array z share one node set. Each
+    point's horizon is where its decay margin (Re(1/z) minus the growth rate
+    of U) has suppressed the tail below ~1e-13, and its panels, at least 8,
+    resolve its |Im(1/z)|; the shared set reaches the farthest horizon with
+    panels no wider than any point's own, so its size grows with the spread
+    of the margins over the array. Too small a margin is refused as
+    ill-conditioned.
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0.0).any():
         raise DomainError("the transform integral needs Re z > 0")
     if (abs(z) >= 1.0).any():
         raise DomainError("|z| must be < 1")
+    if z.size == 0:
+        return np.zeros(z.shape, complex)
     inv = 1.0 / z
-    margin = inv.real.min() - _growth_rate(bgf.smooth)
-    if margin < 0.05:
+    margin = inv.real - _growth_rate(bgf.smooth)
+    if margin.min() < 0.05:
         raise IllConditionedError(
             "Re(1/z) too close to the growth rate of U; integral is not "
             "numerically resolvable at this z"
         )
-    horizon = (34.0 + 0.5 * math.log1p(bgf.smooth.size)) / margin
-    osc = abs(inv.imag).max()
-    width = min(1.0, 2.0 * np.pi / (4.0 * osc + 1e-12), horizon)
-    panels = max(8, int(math.ceil(horizon / width)))
-    u, w = _segment_quadrature(horizon, panels)
+    own = (34.0 + 0.5 * math.log1p(bgf.smooth.size)) / margin
+    width = np.minimum(1.0, 2.0 * np.pi / (4.0 * abs(inv.imag) + 1e-12))
+    horizon = own.max()
+    panels = np.maximum(8, np.ceil(own / width)) * (horizon / own)
+    u, w = _segment_quadrature(horizon, int(np.ceil(panels.max())))
     integrand = series_eval(bgf.smooth, u) * np.exp(-u / z[..., None])
     return (np.sum(w * integrand, axis=-1) + 0.5 * bgf.atom) / z
 
@@ -193,15 +204,10 @@ def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
     inverse transform of Z_out itself (no z factor): the constant term
     becomes the atom 2 b_0 and b_{n} lands on u^{n-1} / (n-1)!.
     """
-    n = fac.inner_coeffs.size
-    inv = _inverse_factorials(n)
-    in_smooth = fac.inner_coeffs * inv
-    out_smooth = fac.outer_coeffs[1:] * inv[:-1]
-    u_in = BGFunction(0.0, in_smooth, _validated_radius(in_smooth))
-    u_out = BGFunction(
-        2.0 * complex(fac.outer_coeffs[0]), out_smooth, _validated_radius(out_smooth)
+    return (
+        _smooth_part(0.0, fac.inner_coeffs),
+        _smooth_part(2.0 * complex(fac.outer_coeffs[0]), fac.outer_coeffs[1:]),
     )
-    return u_in, u_out
 
 
 def bg_convolve(u_in: BGFunction, u_out: BGFunction, u):
@@ -212,7 +218,7 @@ def bg_convolve(u_in: BGFunction, u_out: BGFunction, u):
     share the nodes t u, with one panel per unit of the largest |u|.
     """
     u = np.asarray(u, dtype=complex)
-    x, w = _segment_quadrature(u, max(2, int(abs(u).max()) + 2))
+    x, w = _segment_quadrature(u, max(2, int(abs(u).max(initial=0.0)) + 2))
     vals = series_eval(u_in.smooth, x) * series_eval(u_out.smooth, u[..., None] - x)
     total = 0.5 * u_out.atom * series_eval(u_in.smooth, u)
     total += 0.5 * u_in.atom * series_eval(u_out.smooth, u)
@@ -243,7 +249,7 @@ def bg_shifted_from_outer(u_out: BGFunction, m: int, u):
     if m < 0:
         raise DomainError("shift must be non-negative")
     u = np.asarray(u, dtype=complex)
-    x, w = _segment_quadrature(u, max(2, int(abs(u).max()) + 2))
+    x, w = _segment_quadrature(u, max(2, int(abs(u).max(initial=0.0)) + 2))
     integrand = w * (u[..., None] - x) ** m * series_eval(u_out.smooth, x)
     return (0.5 * u_out.atom * u**m + np.sum(integrand, axis=-1)) / math.factorial(m)
 

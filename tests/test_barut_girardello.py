@@ -94,6 +94,11 @@ class TestBGFunction:
     def test_exact_polynomial_validates_to_the_cap(self):
         assert bg_function(make_number(5, 256)).radius_hint == 1e6
 
+    def test_subnormal_last_coefficient_of_a_polynomial_validates_to_the_cap(self):
+        # g_2 = 5e-311 is subnormal, but nothing past it was dropped
+        ufn = bg_function(raw_state(np.array([1.0, 0.0, 1e-310, 0.0])))
+        assert ufn.radius_hint == 1e6
+
 
 class TestLaplaceToDisk:
     def test_number_state_powers(self):
@@ -324,6 +329,16 @@ class TestArrayPoints:
         assert got.shape == shape
         assert np.all(np.abs(got - exact) <= np.abs(alone - exact) + 4e-15)
 
+    def test_laplace_mixed_margins_as_accurate_as_scalar_calls(self, state, shape):
+        # near z = 0 the integrand e^{-u/z} lives on a short horizon that the
+        # far horizon of z = 0.3 must not resolve with wider panels
+        z = np.resize([0.3, 1e-3], shape)
+        ufn = bg_function(state)
+        got = laplace_to_disk(ufn, z)
+        alone = _pointwise(lambda p: laplace_to_disk(ufn, p), z)
+        exact = eval_Z(state, z)
+        assert np.all(np.abs(got - exact) <= np.abs(alone - exact) + 4e-15)
+
     def test_laplace_equal_margins_match_scalar_calls(self, state, shape):
         # z and conj(z) share Re(1/z) and |Im(1/z)|, hence one node set
         z = np.resize([0.3 + 0.1j, 0.3 - 0.1j], shape)
@@ -356,6 +371,20 @@ class TestArrayErrors:
             laplace_to_disk(ufn, [[*good], [0.99 + 0.5j, 0.3]])
         with pytest.raises(IllConditionedError):
             laplace_to_disk(ufn, [*good, 0.6 + 0.75j])
+
+    def test_empty_arrays_give_empty_results(self):
+        s = make_su11_cs(0.5, 32)
+        u_in, u_out = bg_factor_parts(factorize(s))
+        calls = [
+            lambda p: laplace_to_disk(bg_function(s), p),
+            lambda p: bg_convolve(u_in, u_out, p),
+            lambda p: bg_shifted(s, 2, p),
+            lambda p: bg_shifted_from_outer(u_out, 1, p),
+        ]
+        for fn in calls:
+            for shape in [(0,), (2, 0)]:
+                got = fn(np.zeros(shape))
+                assert got.shape == shape and got.dtype == complex
 
     def test_scalar_calls_return_complex(self):
         s = make_su11_cs(0.5, 32)
