@@ -96,10 +96,9 @@ class BGFunction:
 def _validated_radius(smooth: np.ndarray, source: np.ndarray) -> float:
     """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
 
-    smooth holds source_n / n!. The next-coefficient magnitude is estimated
-    by geometric extrapolation of the trailing coefficients that 1/n! still
-    represents; a source whose zero tail starts there is an exact polynomial,
-    which validates everywhere up to the cap.
+    Geometric extrapolation of the trailing represented coefficients of
+    smooth = source_n / n! (n < 171); a source with a zero tail past them is
+    an exact polynomial, which validates everywhere up to the cap.
     """
     c = np.abs(np.asarray(smooth))[:_REPRESENTED]
     nz = np.nonzero(c > 0)[0]
@@ -165,13 +164,12 @@ def _segment_quadrature(b, panels: int):
 def laplace_to_disk(bgf: BGFunction, z):
     """(1/z) int_0^inf U(u) e^{-u/z} du by panelled Gauss-Legendre quadrature.
 
-    Valid for Re z > 0; the points of an array z share one node set. Each
-    point's horizon is where its decay margin (Re(1/z) minus the growth rate
-    of U) has suppressed the tail below ~1e-13, and its panels, at least 8,
-    resolve its |Im(1/z)|; the shared set reaches the farthest horizon with
-    panels no wider than any point's own, so its size grows with the spread
-    of the margins over the array. Too small a margin is refused as
-    ill-conditioned.
+    Valid for Re z > 0. A point's horizon is where its decay margin (Re(1/z)
+    minus the growth rate of U) has cut the tail below ~1e-13, and its own
+    panels (at least 8) resolve its |Im(1/z)|. The points of an array share
+    one node set: the farthest horizon, in panels no wider than any point's
+    own, so the set grows with the spread of the margins. Too small a margin
+    is refused as ill-conditioned.
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0.0).any():
