@@ -12,12 +12,13 @@ of an integration range contributes half its weight. That makes LT[2 delta]
 
 Transform maps between coefficient sequences use the exact termwise rule
 int_0^inf u^n e^{-u/z} du = n! z^{n+1}; only the forward integral itself is
-ever discretised (Gauss-Legendre panels), so the integral identity can be
-tested against the exact series route.
+ever discretised (Gauss-Laguerre on the ray through z), so the integral
+identity can be tested against the exact series route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .states import FockState
 
 _GL_ORDER = 64
 _REPRESENTED = 171  # 1/n! is a normal double for n < 171, then underflows
+_LOG_TOL = math.log(1e-10)  # accuracy target of a truncated tail
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # Trapezoid rule for K0(x) = int_0^inf e^{-x cosh t} dt (Trefethen & Weideman,
@@ -46,11 +48,6 @@ _EULER_GAMMA = 0.5772156649015329
 # I0(x) K0(x) switches from the trapezoid to its large-x expansion here,
 # where six terms of the expansion are within 1e-16.
 _I0K0_EXPANSION_FROM = 100.0
-
-
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    """log n! elementwise, from math.lgamma (scipy.special stays unloaded)."""
-    return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
 
 
 def _inverse_factorials(count: int) -> np.ndarray:
@@ -93,33 +90,45 @@ class BGFunction:
         return series_eval(self.smooth, u)
 
 
+def _tail_model(smooth: np.ndarray) -> tuple[float, int, float]:
+    """(log|f_d|, d, log rho) of the geometric tail f_{d+k} ~ f_d rho^k.
+
+    d is the last n < 171 where g_n = f_n / n! is a normal double (a
+    subnormal has too few bits); rho is the mean rate since the last such
+    n <= d/2, which averages out the zeros of a parity state and the beats
+    of a superposition. Without two such terms rho is infinite.
+    """
+    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
+    n = np.flatnonzero(c >= np.finfo(float).tiny)
+    if n.size < 2:
+        return 0.0, 0, math.inf
+    m, d = int(np.max(n[n <= n[-1] // 2], initial=n[0])), int(n[-1])
+    log_fm, log_fd = (math.log(c[k]) + math.lgamma(k + 1.0) for k in (m, d))
+    return log_fd, d, (log_fd - log_fm) / (d - m)
+
+
+def _log_tail(log_a: float, d: int, log_ratio: float, r):
+    """log of sum_{k>=1} a r^d q^k = a r^d q/(1-q), q = ratio r; inf once q >= 1."""
+    log_q = log_ratio + np.log(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_sum = log_a + d * np.log(r) + log_q - np.log(-np.expm1(log_q))
+    return np.where(log_q < 0.0, log_sum, np.inf)
+
+
 def _validated_radius(smooth: np.ndarray, source: np.ndarray) -> float:
     """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
 
-    Geometric extrapolation of the trailing represented coefficients of
-    smooth = source_n / n! (n < 171); a source with a zero tail past them is
-    an exact polynomial, which validates everywhere up to the cap.
+    Past the tail model's d, g_{d+k} = f_{d+k} / (d+k)! <= g_d (rho/(d+1))^k.
+    A source with a zero tail past the terms smooth = source_n / n! (n < 171)
+    represents is an exact polynomial, which validates up to the cap.
     """
-    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
-    nz = np.nonzero(c > 0)[0]
-    if nz.size == 0:
-        return 1e6
-    last = nz[-1]
-    if (last < source.size - 1 and not source[last + 1 :].any()) or last == 0:
+    last = np.flatnonzero(np.asarray(smooth)[:_REPRESENTED]).max(initial=0)
+    if last == 0 or (last < source.size - 1 and not source[last + 1 :].any()):
         return 1e6  # exact polynomial: no truncated tail
-    # divide only where the quotient is below 1: a subnormal c[last - 1]
-    # under a larger c[last] would overflow
-    ratio = c[last] / c[last - 1] if c[last] < c[last - 1] else 1.0
-    # first dropped term ~ c_last * ratio * t^{last+1}, geometric beyond
-    log_tol = math.log(1e-10)
-    log_c = math.log(c[last]) + math.log(max(ratio, 1e-300))
+    log_f, d, log_rho = _tail_model(smooth)
+    log_g, log_ratio = log_f - math.lgamma(d + 1.0), log_rho - math.log(d + 1)
     t = 1.0
-    while t < 1e6:
-        q = ratio * t
-        if q >= 0.999:
-            break
-        if log_c + (last + 1) * math.log(t) - math.log1p(-q) > log_tol:
-            break
+    while t < 1e6 and _log_tail(log_g, d, log_ratio, t) <= _LOG_TOL:
         t *= 1.25
     return t / 1.25
 
@@ -135,20 +144,6 @@ def bg_function(state: FockState) -> BGFunction:
     return _smooth_part(0.0, np.conj(state.coeffs))
 
 
-def _growth_rate(smooth: np.ndarray) -> float:
-    """Exponential-type estimate limsup |n! g_n|^{1/n} of the smooth part.
-
-    Taken in logs, so n! never has to be formed, from the top half of the
-    coefficients that 1/n! still represents.
-    """
-    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
-    n = np.arange(max(8, c.size // 2), c.size)
-    n = n[c[n] > 0]
-    if n.size == 0:
-        return 0.0
-    return float(np.exp(np.max((np.log(c[n]) + _log_factorial(n)) / n)))
-
-
 def _segment_quadrature(b, panels: int):
     """Gauss-Legendre nodes x = t b and weights on each segment [0, b], along
     a new last axis: every segment maps the same nodes t on [0, 1]."""
@@ -161,37 +156,38 @@ def _segment_quadrature(b, panels: int):
     return b * t, b * w
 
 
-def laplace_to_disk(bgf: BGFunction, z):
-    """(1/z) int_0^inf U(u) e^{-u/z} du by panelled Gauss-Legendre quadrature.
+@functools.cache
+def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.laguerre.laggauss(count)
 
-    Valid for Re z > 0. A point's horizon is where its decay margin (Re(1/z)
-    minus the growth rate of U) has cut the tail below ~1e-13, and its own
-    panels (at least 8) resolve its |Im(1/z)|. The points of an array share
-    one node set: the farthest horizon, in panels no wider than any point's
-    own, so the set grows with the spread of the margins. Too small a margin
-    is refused as ill-conditioned.
+
+def laplace_to_disk(bgf: BGFunction, z):
+    """(1/z) int_0^inf U(u) e^{-u/z} du by Gauss-Laguerre on the ray u = t z.
+
+    Valid for Re z > 0. U is a polynomial of degree d <= 177 (1/n! underflows
+    past that), so by Cauchy's theorem the integral is int_0^inf U(t z) e^{-t}
+    dt, which floor(d/2) + 1 Gauss-Laguerre nodes integrate exactly; every
+    point of an array shares them. On the ray sum_k w_k |U(t_k z)| <=
+    sum_n |f_n| |z|^n, the series' own condition number, bounds the rounding.
+    Terms of a long source that 1/n! dropped are estimated from the geometric
+    tail model, and a point where they may exceed 1e-10 is refused as
+    ill-conditioned.
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0.0).any():
         raise DomainError("the transform integral needs Re z > 0")
     if (abs(z) >= 1.0).any():
         raise DomainError("|z| must be < 1")
-    if z.size == 0:
-        return np.zeros(z.shape, complex)
-    inv = 1.0 / z
-    margin = inv.real - _growth_rate(bgf.smooth)
-    if margin.min() < 0.05:
-        raise IllConditionedError(
-            "Re(1/z) too close to the growth rate of U; integral is not "
-            "numerically resolvable at this z"
-        )
-    own = (34.0 + 0.5 * math.log1p(bgf.smooth.size)) / margin
-    width = np.minimum(1.0, 2.0 * np.pi / (4.0 * abs(inv.imag) + 1e-12))
-    horizon = own.max()
-    panels = np.maximum(8, np.ceil(own / width)) * (horizon / own)
-    u, w = _segment_quadrature(horizon, int(np.ceil(panels.max())))
-    integrand = series_eval(bgf.smooth, u) * np.exp(-u / z[..., None])
-    return (np.sum(w * integrand, axis=-1) + 0.5 * bgf.atom) / z
+    smooth = bgf.smooth
+    if smooth.size > _REPRESENTED and bgf.radius_hint < 1e6:
+        if (_log_tail(*_tail_model(smooth), abs(z)) > _LOG_TOL).any():
+            raise IllConditionedError(
+                "terms of the series lost to the underflow of 1/n! may exceed "
+                "1e-10 at this z"
+            )
+    degree = np.flatnonzero(smooth).max(initial=0)
+    t, w = _laguerre_rule(degree // 2 + 1)
+    return series_eval(smooth[: degree + 1], z[..., None] * t) @ w + 0.5 * bgf.atom / z
 
 
 def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
