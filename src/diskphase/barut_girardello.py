@@ -213,39 +213,45 @@ def bg_convolve(u_in: BGFunction, u_out: BGFunction, u):
     """
     u = np.asarray(u, dtype=complex)
     x, w = _segment_quadrature(u, max(2, int(abs(u).max(initial=0.0)) + 2))
-    vals = series_eval(u_in.smooth, x) * series_eval(u_out.smooth, u[..., None] - x)
-    total = 0.5 * u_out.atom * series_eval(u_in.smooth, u)
-    total += 0.5 * u_in.atom * series_eval(u_out.smooth, u)
+    vals = u_in(x) * u_out(u[..., None] - x)
+    total = 0.5 * u_out.atom * u_in(u)
+    total += 0.5 * u_in.atom * u_out(u)
     return total + np.sum(w * vals, axis=-1)
 
 
 def bg_shifted(state: FockState, m: int, u):
-    """Transformed function of the m-fold shifted state, as an integral.
+    """Transformed function of the m-fold shifted state.
 
-    For m >= 1 this is (1/(m-1)!) int_0^u (u-x)^{m-1} U(f;x) dx, which is
-    `bg_shifted_from_outer` of U(f) with m - 1 (U(f) has no atom); m = 0
-    just evaluates U(f;u). u is a point or an array of points.
+    The shift multiplies the disk function by z^m. The convolution of two
+    transformed functions maps to z times the product of their disk
+    functions, so for m >= 1 this is U(f) convolved with u^{m-1}/(m-1)!, the
+    transform of z^{m-1}: `bg_shifted_from_outer` of U(f) with m - 1 (U(f)
+    has no atom). m = 0 just evaluates U(f;u). u is a point or an array of
+    points.
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
     bgf = bg_function(state)
     if m == 0:
-        return series_eval(bgf.smooth, u)
+        return bgf(u)
     return bg_shifted_from_outer(bgf, m - 1, u)
 
 
 def bg_shifted_from_outer(u_out: BGFunction, m: int, u):
     """Same shifted function, built from the outer factor part instead.
 
-    (1/m!) int_0^u (u-x)^m U_out(x) dx, the atom at x = 0 entering with
-    half weight; u is a point or an array of points, as in `bg_convolve`.
+    `bg_convolve` of the transformed inner monomial u^m/m! with U_out, that
+    is (1/m!) int_0^u (u-x)^m U_out(x) dx with the atom at x = 0 entering
+    with half weight; u is a point or an array of points. m >= 171, where
+    1/m! is no longer a normal double, is refused.
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
-    u = np.asarray(u, dtype=complex)
-    x, w = _segment_quadrature(u, max(2, int(abs(u).max(initial=0.0)) + 2))
-    integrand = w * (u[..., None] - x) ** m * series_eval(u_out.smooth, x)
-    return (0.5 * u_out.atom * u**m + np.sum(integrand, axis=-1)) / math.factorial(m)
+    if m >= _REPRESENTED:
+        raise DomainError(f"1/{m}! of the monomial u^{m}/{m}! is not a normal double")
+    monomial = np.zeros(m + 1)
+    monomial[m] = 1 / math.factorial(m)
+    return bg_convolve(BGFunction(0.0, monomial, 1e6), u_out, u)
 
 
 def _k0(x) -> np.ndarray:

@@ -264,7 +264,10 @@ def _check_budget(args, levels: int, m: int) -> None:
 
 
 def _build_state(args) -> FockState:
-    state = parse_state_spec(_load_spec(args), args.n)
+    try:
+        state = parse_state_spec(_load_spec(args), args.n)
+    except RecursionError:  # from json.loads or parse_state_spec
+        raise SpecError("state spec nested too deeply") from None
     if args.weyl:
         state = weyl_mod.apply(parse_weyl(args.weyl), state)
     return state

@@ -355,6 +355,8 @@ def factorize(
     phi = refined_phi(state, n, base)
     outer = outer_part(phi, n)
     inner = inner_part(state, outer)
+    if not (np.isfinite(outer).all() and np.isfinite(inner).all()):
+        raise IllConditionedError("the outer or inner series is not finite")
 
     extraction = blaschke_zeros(state, edge_margin)
     monomial = 0

@@ -325,6 +325,50 @@ class TestShiftedIntegrals:
                 )
 
 
+class TestShiftRouting:
+    """The shifted functions are convolutions: every evaluation goes through
+    BGFunction, and the monomial u^m/m! is refused where 1/m! underflows."""
+
+    @pytest.fixture(scope="class")
+    def su11(self):
+        s = make_su11_cs(0.8, 256)
+        u_in, u_out = bg_factor_parts(factorize(s))
+        return s, u_in, u_out
+
+    def test_past_the_radius_warns(self, su11):
+        s, u_in, u_out = su11
+        assert u_out.radius_hint < 200.0
+        calls = [
+            lambda: bg_shifted(s, 0, 200.0),
+            lambda: bg_shifted(s, 2, 200.0),
+            lambda: bg_shifted_from_outer(u_out, 2, 200.0),
+            lambda: bg_convolve(u_in, u_out, 200.0),
+        ]
+        for fn in calls:
+            with pytest.warns(UserWarning, match="beyond the validated radius"):
+                fn()
+
+    def test_underflowing_monomial_is_refused(self, su11):
+        s, _, u_out = su11
+        with pytest.raises(DomainError):
+            bg_shifted(s, 172, 0.5)
+        with pytest.raises(DomainError):
+            bg_shifted_from_outer(u_out, 171, 0.5)
+        # 1/170! is still a normal double
+        assert bg_shifted(s, 171, 0.5) == 0
+        assert bg_shifted_from_outer(u_out, 170, 0.5) == 0
+
+    def test_outer_route_is_the_monomial_convolution(self, su11):
+        _, _, u_out = su11
+        u = np.array([0.0, 0.7, 1.3j, 2.0 - 1.0j])
+        for m in (0, 3):
+            coeffs = np.eye(m + 1)[m] / math.factorial(m)
+            monomial = bg_module.BGFunction(0.0, coeffs, 1e6)
+            np.testing.assert_array_equal(
+                bg_shifted_from_outer(u_out, m, u), bg_convolve(monomial, u_out, u)
+            )
+
+
 _ARRAY_STATES = [
     make_su11_cs(0.5 * np.exp(0.3j), 64),
     make_bg(2j, 64),

@@ -466,6 +466,32 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC and out == ""
         assert "overflows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["factor", "bg"])
+    def test_non_finite_factorisation_exits_numeric(self, capsys, command):
+        # the inner quotient of bg(20) overflows at the default N = 256
+        code, out, err = run(capsys, command, "--json", '{"kind":"bg","u":[20,0]}')
+        assert code == EXIT_NUMERIC and out == ""
+        assert "not finite" in err and "Traceback" not in err
+
+    def test_deeply_nested_spec_file(self, capsys, tmp_path):
+        # 900 superpose levels: deeper than json.loads can decode
+        head = '{"kind":"superpose","amplitudes":[1],"components":['
+        path = tmp_path / "deep.json"
+        path.write_text(head * 900 + '{"kind":"number","m":0}' + "]}" * 900)
+        code, out, err = run(capsys, "state", "--spec", str(path), "--n", "4")
+        assert code == EXIT_SPEC and out == ""
+        assert err.startswith("spec error") and "Traceback" not in err
+
+    def test_deeply_nested_spec_object(self, capsys, monkeypatch):
+        # a decoded spec deeper than parse_state_spec can recurse
+        spec = {"kind": "number", "m": 0}
+        for _ in range(sys.getrecursionlimit()):
+            spec = {"kind": "superpose", "components": [spec], "amplitudes": [1]}
+        monkeypatch.setattr(cli, "_load_spec", lambda args: spec)
+        code, out, err = run(capsys, "state", "--json", "{}", "--n", "4")
+        assert code == EXIT_SPEC and out == ""
+        assert "nested too deeply" in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "spec",

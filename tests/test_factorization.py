@@ -436,6 +436,11 @@ class TestBlaschkeProduct:
 
 
 class TestFactorize:
+    def test_overflowing_inner_quotient_is_refused(self):
+        # conj(f) / outer overflows for the factorial state bg(20) at N = 256
+        with pytest.raises(IllConditionedError, match="not finite"):
+            factorize(make_bg(20.0, 256))
+
     def test_vacuum_plus_number_is_outer(self):
         fac = factorize(vacuum_plus(3, 64), grid_size=512)
         assert fac.outer_defect < 1e-6

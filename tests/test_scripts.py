@@ -39,7 +39,7 @@ def test_interference_sweep(monkeypatch, tmp_path):
     out = tmp_path / "sweep.csv"
     run_script(monkeypatch, "interference_sweep", "--n", "32", "--steps", "3",
                "--csv", str(out))
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     # |cot(tau/2)| falls below |z0| = 0.8 only at the last step
     assert [r["regime"] for r in rows] == ["outer", "outer", "inner-factor"]
 
@@ -49,5 +49,5 @@ def test_wigner_scan(monkeypatch, capsys, tmp_path):
     run_script(monkeypatch, "wigner_scan", "--json", '{"kind":"su11_cs","z":[0.5,0]}',
                "--n", "16", "--n-max", "8", "--csv", str(out))
     assert "9 levels x 64 angles" in capsys.readouterr().out
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 9 * 64
