@@ -208,14 +208,16 @@ def bg_convolve(u_in: BGFunction, u_out: BGFunction, u):
     """int_0^u U_in(x) U_out(u - x) dx along the straight segment.
 
     Endpoint atoms contribute half weight: the atom of U_out sits at x = u,
-    the (normally absent) atom of U_in at x = 0. The points of an array u
+    the (normally absent) atom of U_in at x = 0, whose term U_out(u) is
+    evaluated only when that atom is nonzero. The points of an array u
     share the nodes t u, with one panel per unit of the largest |u|.
     """
     u = np.asarray(u, dtype=complex)
     x, w = _segment_quadrature(u, max(2, int(abs(u).max(initial=0.0)) + 2))
     vals = u_in(x) * u_out(u[..., None] - x)
     total = 0.5 * u_out.atom * u_in(u)
-    total += 0.5 * u_in.atom * u_out(u)
+    if u_in.atom:
+        total += 0.5 * u_in.atom * u_out(u)
     return total + np.sum(w * vals, axis=-1)
 
 

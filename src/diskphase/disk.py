@@ -11,6 +11,7 @@ cost documented quadrature accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,16 +41,24 @@ def midpoint_grid(grid_size: int) -> np.ndarray:
     return -np.pi + (2 * j + 1) * np.pi / grid_size
 
 
+@lru_cache(maxsize=8)
+def _twist_table(grid_size: int) -> np.ndarray:
+    """Read-only twist_n for every n < M, filled once per grid size."""
+    twist = np.exp(1j * np.pi * np.arange(grid_size) / grid_size)
+    twist[1::2] *= -1.0
+    twist.setflags(write=False)
+    return twist
+
+
 def _twist(length: int, grid_size: int) -> np.ndarray:
     """twist_n = (-1)^n e^{i pi n / M}, n < length, so that on the midpoint grid
     e^{i n theta_j} = twist_n e^{2 pi i n j / M}.
 
     The sign is exact and the angle is below pi; the equal e^{i pi n (1/M - 1)}
-    rounds an angle near pi n and is off by about n pi eps.
+    rounds an angle near pi n and is off by about n pi eps. The result is a
+    read-only slice of the table cached for M.
     """
-    twist = np.exp(1j * np.pi * np.arange(length) / grid_size)
-    twist[1::2] *= -1.0
-    return twist
+    return _twist_table(grid_size)[:length]
 
 
 def circle_values(coeffs: np.ndarray, grid_size: int) -> np.ndarray:

@@ -9,12 +9,14 @@ outer * inner reproduces the coefficients to rounding level.
 The disk zeros are the roots of the coefficient polynomial inside
 |z| < r = 1 - edge_margin.
 After the tail of l1 mass <= eps * max|f| is dropped, the argument
-principle counts the zeros inside |z| = 1 and |z| = r, the contour power
-sums on |z| = r give a k x k Hankel pencil for the k zeros, and Newton
-polishes them on the polynomial. Companion-matrix eigenvalues of the
-trimmed polynomial are the fallback whenever that result is not certified:
-a non-integer count, differing counts (a root in the edge annulus), k > 32,
-Newton failing, a zero leaving |z| < r or two zeros coinciding.
+principle counts the zeros inside |z| = 1 and |z| = r (both circles in one
+FFT), the contour power sums on |z| = r, which are the first 2k Fourier
+coefficients of the log-derivative samples and so one FFT, give a k x k
+Hankel pencil for the k zeros, and Newton polishes them on the polynomial.
+Companion-matrix eigenvalues of the trimmed polynomial are the fallback
+whenever that result is not certified: a non-integer count, differing
+counts (a root in the edge annulus), k > 32, Newton failing, a zero leaving
+|z| < r or two zeros coinciding.
 
 Quadrature of ln|boundary| is the one genuinely lossy step: states whose
 boundary function vanishes somewhere on the circle (integrable log
@@ -42,7 +44,6 @@ from .disk import (
     circle_coefficients,
     circle_values,
     default_grid_size,
-    midpoint_grid,
 )
 from .errors import DomainError, IllConditionedError, SpecError
 from .series import series_div, series_mul
@@ -154,15 +155,23 @@ class DiskZeros:
 
 
 def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
+    """Group roots within _CLUSTER_RADIUS of a cluster's running mean.
+
+    Roots are taken by increasing modulus; each cluster keeps its mean and
+    recomputes it only when a member joins.
+    """
     clusters: list[list[complex]] = []
+    means: list[complex] = []
     for r in sorted(roots, key=lambda w: (abs(w), w.real, w.imag)):
-        for members in clusters:
-            if abs(r - np.mean(members)) <= _CLUSTER_RADIUS:
-                members.append(r)
+        for i, mean in enumerate(means):
+            if abs(r - mean) <= _CLUSTER_RADIUS:
+                clusters[i].append(r)
+                means[i] = np.mean(clusters[i])
                 break
         else:
             clusters.append([r])
-    return [(complex(np.mean(ms)), len(ms)) for ms in clusters]
+            means.append(r)
+    return [(complex(mean), len(ms)) for mean, ms in zip(means, clusters)]
 
 
 def _trim_tail(poly: np.ndarray, scale: float) -> np.ndarray:
@@ -173,30 +182,55 @@ def _trim_tail(poly: np.ndarray, scale: float) -> np.ndarray:
 
 def _winding(
     poly: np.ndarray, radius: float, grid: int
-) -> tuple[complex, np.ndarray]:
-    """Zero count inside |z| = radius and the samples of z Z'/Z there.
+) -> tuple[complex, complex, np.ndarray]:
+    """Zero counts inside |z| = 1 and |z| = radius, and the samples of z Z'/Z
+    on |z| = radius.
 
-    The count is the mean of z Z'/Z over the circle (argument principle).
+    Each count is the mean of z Z'/Z over its circle (argument principle).
+    Z and z Z' on both circles are the four rows of one transform.
     """
-    scaled = poly * radius ** np.arange(poly.size)
-    values = circle_values(scaled, grid)
-    log_derivative = circle_values(np.arange(poly.size) * scaled, grid) / values
-    return complex(np.mean(log_derivative)), log_derivative
+    n = np.arange(poly.size)
+    rows = np.empty((4, poly.size), dtype=complex)
+    rows[0] = poly
+    rows[1] = poly * radius**n
+    rows[2:] = n * rows[:2]
+    values = circle_values(rows, grid)
+    log_derivative = values[2:] / values[:2]
+    outer_count, count = np.mean(log_derivative, axis=1)
+    return complex(outer_count), complex(count), log_derivative[1]
 
 
 def _newton(poly: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Newton-polish the roots `z` of sum poly[n] z^n; None if one fails."""
-    n = np.arange(poly.size)
-    dpoly = n[1:] * poly[1:]
+    """Newton-polish the roots `z` of sum poly[n] z^n; None if one fails.
+
+    The powers z^n are running products along the rows of one k x L array.
+    """
+    dpoly = np.arange(1, poly.size) * poly[1:]
+    powers = np.empty((z.size, poly.size), dtype=complex)
+    powers[:, 0] = 1.0
+
+    def step(z: np.ndarray) -> np.ndarray:
+        powers[:, 1:] = z[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        return (powers @ poly) / (powers[:, :-1] @ dpoly)
+
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            powers = z[:, None] ** n
-            step = (powers @ poly) / (powers[:, :-1] @ dpoly)
-            z = z - step
-            if np.all(np.abs(step) <= _NEWTON_TOL):
-                powers = z[:, None] ** n
-                return z - (powers @ poly) / (powers[:, :-1] @ dpoly)
+            delta = step(z)
+            z = z - delta
+            if np.all(np.abs(delta) <= _NEWTON_TOL):
+                return z - step(z)
     return None
+
+
+def _power_sums(log_derivative: np.ndarray, radius: float, count: int) -> np.ndarray:
+    """s_j = mean(z^j L) over the midpoint grid of |z| = radius, j < count.
+
+    The mean of e^{i j theta} L is the conjugate of the j-th Fourier
+    coefficient of conj(L), so one FFT gives every s_j.
+    """
+    coefficients = circle_coefficients(np.conj(log_derivative), count)
+    return radius ** np.arange(count) * np.conj(coefficients)
 
 
 def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
@@ -212,8 +246,7 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
     """
     grid = max(default_grid_size(poly.size), _MIN_CONTOUR_GRID)
     with np.errstate(all="ignore"):
-        outer_count, _ = _winding(poly, 1.0, grid)
-        count, log_derivative = _winding(poly, radius, grid)
+        outer_count, count, log_derivative = _winding(poly, radius, grid)
     if not np.isfinite(count + outer_count):  # Z vanishes at a grid point
         return None
     k = round(count.real)
@@ -225,8 +258,7 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
         return None
     if k == 0:
         return np.array([], dtype=complex)
-    z = radius * np.exp(1j * midpoint_grid(grid))
-    sums = np.mean(z ** np.arange(2 * k)[:, None] * log_derivative, axis=1)
+    sums = _power_sums(log_derivative, radius, 2 * k)
     hankel = sums[np.add.outer(np.arange(k), np.arange(k + 1))]
     try:
         seeds = np.linalg.eigvals(np.linalg.solve(hankel[:, :k], hankel[:, 1:]))

@@ -6,7 +6,7 @@ from hypothesis import assume
 from hypothesis.strategies import composite
 
 from diskphase import FockState
-from diskphase.disk import circle_values
+from diskphase.disk import circle_values, midpoint_grid
 
 
 @composite
@@ -116,6 +116,35 @@ def two_fft_lattice_oracle(table, grid_size):
         circle_values(lower, grid_size)
     )
     return values.real / (2.0 * np.pi)
+
+
+def power_sums_oracle(log_derivative, radius, count):
+    """s_j = mean(z^j L) on |z| = radius from a count x M table of powers."""
+    z = radius * np.exp(1j * midpoint_grid(np.shape(log_derivative)[-1]))
+    return np.mean(z ** np.arange(count)[:, None] * log_derivative, axis=1)
+
+
+def winding_oracle(poly, radius, grid):
+    """Zero count inside |z| = radius and the samples of z Z'/Z there, one
+    circle per pair of transforms."""
+    scaled = poly * radius ** np.arange(poly.size)
+    values = circle_values(scaled, grid)
+    log_derivative = circle_values(np.arange(poly.size) * scaled, grid) / values
+    return complex(np.mean(log_derivative)), log_derivative
+
+
+def cluster_oracle(roots, radius):
+    """Clusters by increasing modulus, each member compared with the mean of
+    its cluster recomputed from the members every time."""
+    clusters = []
+    for r in sorted(roots, key=lambda w: (abs(w), w.real, w.imag)):
+        for members in clusters:
+            if abs(r - np.mean(members)) <= radius:
+                members.append(r)
+                break
+        else:
+            clusters.append([r])
+    return [(complex(np.mean(ms)), len(ms)) for ms in clusters]
 
 
 def bit_equal(a, b) -> bool:

@@ -29,6 +29,7 @@ from diskphase import (
     reconstruct_from_boundary,
     superpose,
 )
+from diskphase import disk as disk_module
 from diskphase.disk import circle_coefficients, circle_values, hermitian_circle_values
 from tests.conftest import (
     bit_equal,
@@ -269,6 +270,24 @@ def test_circle_values_twist_is_accurate_at_high_order():
     assert np.max(np.abs(circle_values(c, m) - reference)) < 1e-14
 
 
+
+
+@pytest.mark.parametrize(
+    "length, m",
+    [(1, 8), (8, 8), (5, 9), (97, 97), (64, 256), (257, 512), (1024, 1024),
+     (300, 4096), (2048, 8192)],
+)
+def test_twist_is_a_cached_read_only_slice(length, m):
+    """The cached twist equals the formula evaluated for n < length alone, bit
+    for bit, on power-of-two grids and on the odd and prime grids the real
+    transform also takes; longer and shorter slices share one table."""
+    twist = np.exp(1j * np.pi * np.arange(length) / m)
+    twist[1::2] *= -1.0
+    for _ in range(2):
+        cached = disk_module._twist(length, m)
+        assert bit_equal(cached, twist)
+        assert not cached.flags.writeable
+    assert bit_equal(disk_module._twist(m, m)[:length], twist)
 
 @st.composite
 def live_bands(draw):

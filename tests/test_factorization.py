@@ -42,9 +42,12 @@ from tests.conftest import (
     bit_equal,
     circle_coefficients_oracle,
     circle_values_oracle,
+    cluster_oracle,
     normalized_states,
+    power_sums_oracle,
     series_div_oracle,
     series_exp_oracle,
+    winding_oracle,
 )
 
 
@@ -397,6 +400,84 @@ def test_seeded_sweep_matches_roots_oracle():
     for n in (8, 24, 64, 128):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert_matches_oracle(raw_state(c / np.linalg.norm(c)))
+
+
+def spread_series_product(seed, k, n=256):
+    """k zeros with 0.15 <= |gamma| <= 0.7, pairwise at least 0.1 apart, times
+    an outer cubic with roots 1.5 <= |rho| <= 3, all from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+
+    def point(rmin, rmax):
+        return rng.uniform(rmin, rmax) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+
+    gammas = []
+    while len(gammas) < k:
+        p = point(0.15, 0.7)
+        if all(abs(p - q) >= 0.1 for q in gammas):
+            gammas.append(p)
+    return series_product_state(gammas, [point(1.5, 3.0) for _ in range(3)], n)
+
+
+@pytest.mark.parametrize(
+    "k, seed",
+    [(13, 0), (14, 61), (15, 12), (15, 15), (15, 25), (16, 12), (16, 18), (16, 32)],
+)
+def test_thirteen_to_sixteen_zeros_certified_by_contour(k, seed, monkeypatch):
+    """With the power sums taken as Fourier coefficients, the Hankel pencil of
+    these series products seeds Newton well enough to pass the certificate:
+    no companion-matrix fallback. The seeds are chosen near the onset: with
+    power sums from a table of the powers z^j (`power_sums_oracle`), 7 of
+    the 8 fail the certificate."""
+    state = spread_series_product(seed, k)
+    sizes = []
+    real_roots = np.roots
+
+    def spy(p):
+        sizes.append(len(p))
+        return real_roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    assert_matches_oracle(state)
+    assert sizes == [state.truncation]  # the oracle's own solve, nothing else
+
+
+@pytest.mark.parametrize("k, seed", [(3, 1), (8, 2), (16, 12), (24, 3)])
+def test_winding_and_power_sums_match_direct_oracles(k, seed):
+    """Both circles in one transform give the per-circle counts and samples
+    bit for bit; the FFT power sums match the table of powers to rounding."""
+    poly = np.conj(spread_series_product(seed, k).coeffs)
+    radius, grid = 1.0 - DEFAULT_EDGE_MARGIN, 1024
+    outer_count, count, log_derivative = fz_module._winding(poly, radius, grid)
+    assert outer_count == winding_oracle(poly, 1.0, grid)[0]
+    oracle_count, oracle_samples = winding_oracle(poly, radius, grid)
+    assert count == oracle_count and bit_equal(log_derivative, oracle_samples)
+    assert round(count.real) == k
+    sums = fz_module._power_sums(log_derivative, radius, 2 * k)
+    expected = power_sums_oracle(log_derivative, radius, 2 * k)
+    assert np.max(np.abs(sums - expected)) <= 1e-13 * np.max(np.abs(log_derivative))
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99), st.integers(1, 3)),
+        max_size=10,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_cluster_matches_oracle_bits(centers, seed):
+    """Clusters planted 1e-8 wide: the kept running means give the members,
+    multiplicities and mean bits of recomputing every mean per comparison."""
+    rng = np.random.default_rng(seed)
+    roots = np.array(
+        [complex(x, y) + 1e-8 * complex(*rng.normal(size=2))
+         for x, y, m in centers for _ in range(m)],
+        dtype=complex,
+    )
+    got = fz_module._cluster(roots)
+    want = cluster_oracle(roots, fz_module._CLUSTER_RADIUS)
+    assert [p for _, p in got] == [p for _, p in want]
+    assert bit_equal([g for g, _ in got], [g for g, _ in want])
 
 
 class TestBlaschkeProduct:
