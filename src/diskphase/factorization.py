@@ -292,6 +292,12 @@ def blaschke_zeros(
     scale = float(np.max(np.abs(poly)))
     if scale == 0.0:
         raise DomainError("coefficient vector is identically zero")
+    # Roots are scale-free: an exact power-of-two rescale to max|f| in
+    # [1/2, 1) keeps subnormal coefficients from underflowing the contour
+    # sums or overflowing the companion matrix.
+    exponent = math.frexp(scale)[1]
+    poly = np.ldexp(poly.real, -exponent) + 1j * np.ldexp(poly.imag, -exponent)
+    scale = math.ldexp(scale, -exponent)
     lead = 0
     while abs(poly[lead]) <= _MONOMIAL_EPS * scale:
         lead += 1

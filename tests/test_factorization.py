@@ -1,6 +1,7 @@
 """Minimum-phase splitting: log-spectrum, outer/inner series, zeros, flags."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,23 @@ class TestBlaschkeZeros:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             blaschke_zeros(raw_state(np.zeros(4)), 0.1)
+
+    @pytest.mark.parametrize("exponent", [-2, -1000, -1060])
+    def test_subnormal_coefficients_same_zeros(self, exponent):
+        # dyadic roots 0.5 and 0.25j keep the scaled coefficients exact
+        poly = np.convolve([-0.5, 1.0], [-0.25j, 1.0]) * 2.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            zeros = blaschke_zeros(raw_state(np.conj(poly))).zeros
+        assert sorted(mult for _, mult in zeros) == [1, 1]
+        found = sorted((g for g, _ in zeros), key=abs)
+        assert abs(found[0] - 0.25j) < 1e-12 and abs(found[1] - 0.5) < 1e-12
+
+    def test_smallest_subnormal_no_overflow(self):
+        # both coefficients 5e-324: the root -1 sits on the circle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert blaschke_zeros(raw_state(np.full(2, 5e-324j))).zeros == ()
 
     @pytest.mark.parametrize("margin", [0.0, 1.0, 2.0, -0.1, math.nan])
     def test_edge_margin_outside_unit_interval(self, margin):
