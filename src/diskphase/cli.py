@@ -6,7 +6,8 @@ numbers as [re, im] pairs) passed via --spec FILE or --json 'INLINE'.
 Output is deterministic byte-for-byte for a fixed spec and configuration.
 
 Exit codes: 0 success, 2 malformed spec/config or an array over MAX_CELLS,
-3 numeric precondition violation or out of memory, 4 I/O failure.
+3 numeric precondition violation (a failed linear-algebra solve included)
+or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ EXIT_IO = 4
 
 
 # Largest array, in cells, that one run may allocate; `wigner --n 2048` fills
-# its 2048 x 8192 lattice at exactly this size. The companion-matrix
-# fallback's N^2 matrix is the one allocation it does not foresee.
+# its 2048 x 8192 lattice at exactly this size. The FFT series products of
+# `factor` and `bg` (from 512 terms) pad to next_pow2(2N - 1) <= M cells,
+# inside their 3 M budget. The companion-matrix fallback's N^2 matrix is
+# the one allocation it does not foresee.
 MAX_CELLS = 2**24
 
 
@@ -488,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except DiskPhaseError as exc:
+    except (DiskPhaseError, np.linalg.LinAlgError) as exc:
         print(f"numeric precondition violated: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -5,7 +5,12 @@ ln|boundary|, obtained cepstrally: Fourier-analyse the sampled log-modulus,
 keep the analytic half, exponentiate it pointwise on the 2M midpoint grid
 and take the coefficients back by one FFT. The inner (all-pass) part is the
 quotient of truncated series Z / outer, with 1/outer by Newton doubling;
-outer * inner reproduces the coefficients to rounding level.
+outer * inner reproduces the coefficients to rounding level. Products of
+two operands of 512 terms or more, in the quotient and in that check, are
+FFT products (`series.series_mul`), which round relative to the largest
+coefficient: at N = 512-2048 the inner series stays within 5.4e-15 of the
+all-`np.convolve` quotient and the residual within 5.5e-15. Below 512
+terms the bits are those of `np.convolve`.
 The disk zeros are the roots of the coefficient polynomial inside
 |z| < r = 1 - edge_margin.
 After the tail of l1 mass <= eps * max|f| is dropped, the argument

@@ -2,18 +2,38 @@
 
 Series are plain 1-d complex arrays of Taylor coefficients, lowest order
 first. All operations truncate to the requested length.
+
+Products of two operands that both reach 512 terms (after the cut to the
+requested length) are taken by a zero-padded FFT, O(N log N); shorter ones
+by `np.convolve`, whose bits they keep. An FFT product rounds relative to
+the largest coefficients of its operands, not to each output coefficient
+(Bernstein, "Fast multiplication and its applications", 2008): its error
+stays within a few eps * |a|_2 |b|_2 (tests/test_series.py), so the small
+tail coefficients of a product carry an absolute, not a relative, error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# both operands at least this long take the FFT product. Squared operands
+# of 256 terms cost about the same either way (44 us convolve, 47 us FFT),
+# of 512 terms 135 against 76 us; products under it keep their bits.
+_FFT_MIN_TERMS = 512
+
 
 def series_mul(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     """Cauchy product truncated to `length` coefficients."""
-    full = np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     out = np.zeros(length, dtype=complex)
-    k = min(length, full.size)
+    if min(a.size, b.size, length) >= _FFT_MIN_TERMS:
+        a, b = a[:length], b[:length]
+        size = 1 << (a.size + b.size - 2).bit_length()  # next_pow2(len a + len b - 1)
+        full = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+    else:
+        full = np.convolve(a, b)
+    k = min(length, a.size + b.size - 1)
     out[:k] = full[:k]
     return out
 
@@ -24,6 +44,8 @@ def series_div(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     1/b comes from Newton's iteration r <- r - r (b r - 1), which doubles
     the number of correct terms per step (Brent & Kung, J. ACM 25, 1978);
     b r - 1 vanishes below the current order, so only its upper half is kept.
+    The steps whose operands reach 512 terms, and the final product, take
+    the FFT route of `series_mul`; below that the quotient keeps its bits.
     """
     b = np.asarray(b, dtype=complex)
     if b[0] == 0:

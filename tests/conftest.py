@@ -42,7 +42,30 @@ def boundary_direct(state, thetas):
     return np.exp(1j * np.outer(np.asarray(thetas), n)) @ np.conj(state.coeffs)
 
 
+def series_mul_oracle(a, b, length):
+    """Cauchy product truncated to `length` terms, by `np.convolve` at any size."""
+    full = np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    out = np.zeros(length, dtype=complex)
+    k = min(length, full.size)
+    out[:k] = full[:k]
+    return out
+
+
 def series_div_oracle(a, b, length):
+    """Newton-doubling quotient with every product by `np.convolve`: the
+    library's quotient as it is below the FFT crossover, at any size."""
+    b = np.asarray(b, dtype=complex)
+    r = np.array([1.0 / b[0]])
+    k = 1
+    while k < length:
+        k2 = min(2 * k, length)
+        e = series_mul_oracle(b[:k2], r, k2)[k:]
+        r = np.concatenate((r, -series_mul_oracle(r, e, k2 - k)))
+        k = k2
+    return series_mul_oracle(a, r, length)
+
+
+def series_div_substitution_oracle(a, b, length):
     """Quotient c with b * c = a by forward substitution, one term at a time."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

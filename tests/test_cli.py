@@ -163,6 +163,16 @@ class TestFactorCommand:
         assert err.startswith("numeric precondition violated")
         assert "Traceback" not in err
 
+    def test_linalg_error_from_a_handler_is_numeric_exit(self, capsys, monkeypatch):
+        def broken_grid(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(cli, "wigner_grid", broken_grid)
+        spec = '{"kind":"number","m":0}'
+        code, out, err = run(capsys, "wigner", "--json", spec, "--n", "8")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric precondition violated: forced\n"
+
 
 _PRINT_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 _SUBCOMMAND_RUNS = """
@@ -198,6 +208,22 @@ def test_import_leaves_scipy_linalg_out():
             check=True,
         )
         assert result.stdout.strip() == "[]"
+
+
+def test_import_leaves_numpy_fft_out():
+    """The FFT series product, like the disk FFT layer, reaches np.fft only
+    when called, so the import does not load numpy.fft."""
+    src = str(Path(diskphase.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, diskphase.cli; print('numpy.fft' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 # ", " inside a string must survive: only float lists take the fast path

@@ -34,7 +34,9 @@ from diskphase import (
 )
 from diskphase import disk as disk_module
 from diskphase import factorization as fz_module
+from diskphase import series as series_module
 from diskphase import verification as ver
+from diskphase.barut_girardello import bg_convolve, bg_factor_parts, bg_function
 from diskphase.disk import circle_values
 from diskphase.factorization import DEFAULT_EDGE_MARGIN
 from diskphase.series import series_eval, series_mul
@@ -46,8 +48,9 @@ from tests.conftest import (
     cluster_oracle,
     normalized_states,
     power_sums_oracle,
-    series_div_oracle,
+    series_div_substitution_oracle,
     series_exp_oracle,
+    series_mul_oracle,
     winding_oracle,
 )
 
@@ -517,7 +520,8 @@ class TestBlaschkeProduct:
         num[0], num[2] = 0.09, -1.0
         den = np.zeros(32, dtype=complex)
         den[0], den[2] = 1.0, -0.09
-        np.testing.assert_allclose(b, series_div_oracle(num, den, 32), atol=1e-13)
+        want = series_div_substitution_oracle(num, den, 32)
+        np.testing.assert_allclose(b, want, atol=1e-13)
 
     def test_multiplicity(self):
         b2 = blaschke_product([(0.4j, 2)], 24)
@@ -675,6 +679,53 @@ def test_factorize_bits_match_full_grid_twist(state, monkeypatch):
         "inner_boundary_deviation",
     ):
         assert getattr(fast, name) == getattr(slow, name)
+
+
+FFT_STATES = {
+    "su11_cs": lambda n: make_su11_cs(0.97, n),
+    "pi_superposition": lambda n: make_pi_superposition(0.8, 3 * math.pi / 4, n),
+    "blaschke": lambda n: make_blaschke_state(0.6j, n),
+    "vacuum_plus_5": lambda n: vacuum_plus(5, n),
+    "bg3": lambda n: make_bg(3.0, n),
+}
+
+
+def convolve_factorize(state, monkeypatch):
+    """`factorize` with every series product by `np.convolve`, as below 512
+    terms."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fz_module, "series_mul", series_mul_oracle)
+        patch.setattr(series_module, "series_mul", series_mul_oracle)
+        return factorize(state)
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("name", sorted(FFT_STATES))
+def test_fft_products_match_convolve_factorization(name, n, monkeypatch):
+    """From 512 terms the inner quotient and the reconstruction check take
+    FFT products; the outer series and the zeros never use them."""
+    state = FFT_STATES[name](n)
+    fast = factorize(state)
+    slow = convolve_factorize(state, monkeypatch)
+    assert bit_equal(fast.outer_coeffs, slow.outer_coeffs)
+    assert fast.zeros == slow.zeros and fast.near_edge == slow.near_edge
+    assert fast.monomial_degree == slow.monomial_degree
+    np.testing.assert_allclose(fast.inner_coeffs, slow.inner_coeffs, rtol=0, atol=1e-14)
+    assert fast.reconstruction_residual <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(FFT_STATES))
+def test_fft_inner_tail_keeps_plane_convolution(name, monkeypatch):
+    """The plane functions built from the FFT inner series agree with the
+    convolve path within 1e-12 of sum |g_n| |u|^n, g_n = conj(f_n)/n!."""
+    state = FFT_STATES[name](1024)
+    rng = np.random.default_rng(1024)
+    u = 10.0 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
+    u = np.concatenate((u, [10.0, -10.0, 10j, 0.5]))
+    fast = bg_convolve(*bg_factor_parts(factorize(state)), u)
+    slow = bg_convolve(*bg_factor_parts(convolve_factorize(state, monkeypatch)), u)
+    scale = series_eval(np.abs(bg_function(state).smooth), np.abs(u)).real
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
 
 
 class TestSingularDetection:
