@@ -119,11 +119,13 @@ def _validated_radius(smooth: np.ndarray, source: np.ndarray) -> float:
     """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
 
     Past the tail model's d, g_{d+k} = f_{d+k} / (d+k)! <= g_d (rho/(d+1))^k.
-    A source with a zero tail past the terms smooth = source_n / n! (n < 171)
-    represents is an exact polynomial, which validates up to the cap.
+    A source with a zero tail past the last term smooth = source_n / n!
+    (n < 171) represents is an exact polynomial, which validates up to the
+    cap. A source that 1/n! zeroes altogether, such as |m> with m >= 171,
+    has no represented term and is not one.
     """
     last = np.flatnonzero(np.asarray(smooth)[:_REPRESENTED]).max(initial=0)
-    if last == 0 or (last < source.size - 1 and not source[last + 1 :].any()):
+    if (last == 0 or last < source.size - 1) and not source[last + 1 :].any():
         return 1e6  # exact polynomial: no truncated tail
     log_f, d, log_rho = _tail_model(smooth)
     log_g, log_ratio = log_f - math.lgamma(d + 1.0), log_rho - math.log(d + 1)

@@ -53,10 +53,12 @@ EXIT_IO = 4
 
 
 # Largest array, in cells, that one run may allocate; `wigner --n 2048` fills
-# its 2048 x 8192 lattice at exactly this size. The FFT series products of
-# `factor` and `bg` (from 512 terms) pad to next_pow2(2N - 1) <= M cells,
-# inside their 3 M budget. The companion-matrix fallback's N^2 matrix is
-# the one allocation it does not foresee.
+# its 2048 x 8192 lattice at exactly this size; it fills the lattice a block
+# of about 2^16 cells at a time, so it holds the (n_max + 1) x M output plus
+# one block. The FFT series products of `factor` and `bg` (from 512 terms)
+# pad to next_pow2(2N - 1) <= M cells, inside their 3 M budget. The
+# companion-matrix fallback's N^2 matrix is the one allocation it does not
+# foresee.
 MAX_CELLS = 2**24
 
 

@@ -14,6 +14,9 @@ tail coefficients of a product carry an absolute, not a relative, error.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 # both operands at least this long take the FFT product. Squared operands
@@ -30,12 +33,36 @@ def series_mul(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     if min(a.size, b.size, length) >= _FFT_MIN_TERMS:
         a, b = a[:length], b[:length]
         size = 1 << (a.size + b.size - 2).bit_length()  # next_pow2(len a + len b - 1)
-        full = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+        full = _fft_product(a, b, size)
     else:
         full = np.convolve(a, b)
     k = min(length, a.size + b.size - 1)
     out[:k] = full[:k]
     return out
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """Cyclic product of size `size` by FFT, without overflow in the transforms.
+
+    Operands near the float range are first scaled by exact powers of two
+    (max|Re|, |Im| into [1/2, 1)) and the product scaled back; in the
+    normal range nothing is scaled, so the bits do not change.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    a_max = float(np.abs(a.view(float)).max())
+    b_max = float(np.abs(b.view(float)).max())
+    # each transform stays within |a|_1 <= sqrt(2) len(a) a_max, their product
+    # within 2 len(a) len(b) a_max b_max, and the inverse before its 1/size
+    # within size times that
+    ea = eb = 0
+    if not a_max * b_max * (2.0 * a.size * b.size * size) < sys.float_info.max:
+        ea, eb = math.frexp(a_max)[1], math.frexp(b_max)[1]
+        a = np.ldexp(a.view(float), -ea).view(complex)
+        b = np.ldexp(b.view(float), -eb).view(complex)
+    full = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+    if ea + eb:
+        np.ldexp(full.view(float), ea + eb, out=full.view(float))
+    return full
 
 
 def series_div(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:

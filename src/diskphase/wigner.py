@@ -6,8 +6,11 @@ f (x) conj(f) that straddle level n. One table of these coefficients, built
 by a single gather, serves every evaluation. The table is Hermitian,
 C[n, -h] = conj(C[n, h]), so only its h >= 0 half is built: Horner sums it
 at arbitrary angles, and one real inverse FFT per level
-(`disk.hermitian_circle_values`) on the lattice. S is real by construction,
-may go negative, and its marginals are the number and phase distributions.
+(`disk.hermitian_circle_values`) on the lattice. Row n is nonzero only up
+to h = 2 min(n, N - 1 - n) + 1, so each table stops at the harmonics its
+levels hold, and the lattice is filled a block of levels at a time: a run
+holds its output plus one block. S is real by construction, may go
+negative, and its marginals are the number and phase distributions.
 The per-level double sum and the equivalent circle-integral form are
 deliberately left to the test suite as independent oracles.
 """
@@ -32,6 +35,9 @@ from .states import FockState, number_distribution, pi_superposition_norm
 from .weyl import WeylElement, apply
 
 _IMAG_RESIDUE_TOL = 1e-12
+# cells of one block of lattice levels. A block's table, spectrum and values
+# stay a small part of the output; N <= 128 lattices (128 x 512) are one block.
+_BLOCK_CELLS = 1 << 16
 
 
 def _coefficient_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarray:
@@ -41,22 +47,46 @@ def _coefficient_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarra
     integer antidiagonal through level n, odd h the half-integer one. Indices
     outside the state read zeros from the padding. The h < 0 half is
     C[n, -h] = conj(C[n, h]) and is not stored. Both factors are strided
-    windows on the padded state, so the gather makes no index arrays.
+    windows on the padded stretch f[start - half .. stop + half) of the
+    state, so the gather makes no index arrays and allocates in proportion
+    to the table, not to the levels it starts from.
     """
     f = np.asarray(coeffs, dtype=complex)
     start, stop = levels.start, levels.stop
     half = top // 2 + 1  # even h = 2p and odd h = 2p + 1 for p < half
-    padded = np.zeros(half + max(f.size, stop + half), dtype=complex)
-    padded[half : half + f.size] = f
-    # level n = start + k reads f[n - p] = down[n + 1, p], f[n - 1 - p] =
-    # down[n, p] and conj(f[n + p]) = up[k, p]
-    down = sliding_window_view(padded, half)[:, ::-1]
-    up = sliding_window_view(np.conj(padded), half)[start + half : stop + half]
+    # window[j] = f[start - half + j]; level n = start + k reads f[n - p] =
+    # down[k + 1, p], f[n - 1 - p] = down[k, p] and conj(f[n + p]) = up[k, p]
+    window = np.zeros(len(levels) + 2 * half, dtype=complex)
+    lo, hi = max(start - half, 0), min(stop + half, f.size)
+    if lo < hi:
+        window[lo - start + half : hi - start + half] = f[lo:hi]
+    down = sliding_window_view(window, half)[:, ::-1]
+    up = sliding_window_view(np.conj(window), half)[half : half + len(levels)]
     table = np.empty((len(levels), top + 1), dtype=complex)
     even, odd = table[:, 0::2], table[:, 1::2]
-    np.multiply(down[start + 1 : stop + 1], up, out=even)
-    np.multiply(down[start:stop, : odd.shape[1]], up[:, : odd.shape[1]], out=odd)
+    np.multiply(down[1 : len(levels) + 1], up, out=even)
+    np.multiply(down[: len(levels), : odd.shape[1]], up[:, : odd.shape[1]], out=odd)
     return table
+
+
+def _live_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarray:
+    """`_coefficient_table` up to the highest harmonic, at most `top`, that
+    can be nonzero on `levels`.
+
+    C[n, h] needs n - ceil(h/2) >= 0 and n + floor(h/2) <= N - 1, so row n
+    lives on h <= 2 min(n, N - 1 - n) + 1; rows past the truncation keep
+    h = 0 alone. The harmonics cut off are zeros, and the lattice and the
+    Horner sum of the shorter table have the same bits.
+    """
+    n = len(coeffs)
+    reach = min(levels.stop - 1, n - 1 - levels.start, (n - 1) // 2)
+    return _coefficient_table(coeffs, levels, max(0, min(top, 2 * reach + 1)))
+
+
+def _blocks(levels: int, grid_size: int):
+    """Levels 0..levels-1 in consecutive ranges of _BLOCK_CELLS // M rows (>= 1)."""
+    rows = max(1, _BLOCK_CELLS // grid_size)
+    return (range(a, min(a + rows, levels)) for a in range(0, levels, rows))
 
 
 def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
@@ -96,7 +126,7 @@ def wigner(state: FockState, n: int, theta):
     if n < 0:
         raise DomainError("level n must be non-negative")
     theta = np.asarray(theta, dtype=float)
-    row = _coefficient_table(state.coeffs, range(n, n + 1), 2 * n + 1)[0]
+    row = _live_table(state.coeffs, range(n, n + 1), 2 * n + 1)[0]
     # the h < 0 half conjugates the h > 0 one; h = 0 is counted once
     total = series_eval(row, np.exp(1j * theta))
     out = (2.0 * np.real(total) - row[0].real) / (2.0 * np.pi)
@@ -131,8 +161,10 @@ def wigner_grid(
 ) -> WignerGrid:
     """Fill the lattice from the coefficient table, one real inverse FFT per level.
 
-    With n_max >= N - 1 both marginals are exact (the function vanishes for
-    n >= N). For an exact angle marginal the grid must exceed the top
+    The levels go in blocks of about _BLOCK_CELLS cells, each table cut to
+    the harmonics its levels can hold, so the peak memory is the output
+    plus one block. With n_max >= N - 1 both marginals are exact (the
+    function vanishes for n >= N). For an exact angle marginal the grid must exceed the top
     harmonic 2 n_max + 1, as the default `default_grid_size(N, 2 n_max + 1)`
     does.
     """
@@ -141,8 +173,13 @@ def wigner_grid(
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     m = _grid_size(state.truncation, n_max, grid_size)
-    table = _coefficient_table(state.coeffs, range(n_max + 1), 2 * n_max + 1)
-    return WignerGrid(n_max, midpoint_grid(m), _lattice(table, m))
+    top = 2 * n_max + 1
+    values = np.empty((n_max + 1, m))
+    for block in _blocks(n_max + 1, m):
+        values[block.start : block.stop] = _lattice(
+            _live_table(state.coeffs, block, top), m
+        )
+    return WignerGrid(n_max, midpoint_grid(m), values)
 
 
 def marginal_residuals(state: FockState, grid: WignerGrid) -> tuple[float, float]:
@@ -261,17 +298,28 @@ def shift_covariance_check(
 
     Levels below the shift must vanish; above it the function is the
     original one displaced on the lattice. The default grid is sized from
-    the unshifted N, as `diskphase wigner --weyl` sizes it.
+    the unshifted N, as `diskphase wigner --weyl` sizes it. Both sides are
+    compared block by block of levels, as `wigner_grid` fills them, so no
+    full lattice is held.
     """
     shifted = apply(w, state)
     if n_max is None:
         n_max = shifted.truncation - 1
     m = _grid_size(state.truncation, n_max, grid_size)
     top = 2 * n_max + 1
-    lhs = _lattice(_coefficient_table(shifted.coeffs, range(n_max + 1), top), m)
     # the rotation by beta twists harmonic h by e^{-i h beta}
-    moved = _coefficient_table(state.coeffs, range(max(n_max + 1 - w.m, 0)), top)
-    moved *= np.exp(-1j * w.beta * np.arange(top + 1))
-    diff = lhs[w.m :] - _lattice(moved, m)
-    below = np.max(np.abs(lhs[: w.m]), initial=0.0)  # rows below the shift vanish
-    return float(max(below, np.max(np.abs(diff, out=diff), initial=0.0)))
+    twist = np.exp(-1j * w.beta * np.arange(top + 1))
+    deviation = 0.0
+    for block in _blocks(n_max + 1, m):
+        lhs = _lattice(_live_table(shifted.coeffs, block, top), m)
+        levels = range(max(block.start - w.m, 0), max(block.stop - w.m, 0))
+        moved = _live_table(state.coeffs, levels, top)
+        moved *= twist[: moved.shape[1]]
+        below = len(block) - len(levels)  # rows below the shift vanish
+        diff = lhs[below:] - _lattice(moved, m)
+        deviation = max(
+            deviation,
+            np.max(np.abs(lhs[:below]), initial=0.0),
+            np.max(np.abs(diff, out=diff), initial=0.0),
+        )
+    return float(deviation)

@@ -92,8 +92,9 @@ class TestBGFunction:
         ]
         assert sum(math.exp(t) for t in log_terms) < 1e-10
 
-    def test_exact_polynomial_validates_to_the_cap(self):
-        assert bg_function(make_number(5, 256)).radius_hint == 1e6
+    @pytest.mark.parametrize("m, n", [(5, 256), (0, 256), (0, 1)])
+    def test_exact_polynomial_validates_to_the_cap(self, m, n):
+        assert bg_function(make_number(m, n)).radius_hint == 1e6
 
     def test_subnormal_last_coefficient_of_a_polynomial_validates_to_the_cap(self):
         # g_2 = 5e-311 is subnormal, but nothing past it was dropped
@@ -150,6 +151,11 @@ class TestLaplaceToDisk:
         # 4.3e-5 (a = 0.99) and 3.3e-10 (a = 0.98) here
         with pytest.raises(IllConditionedError):
             laplace_to_disk(bg_function(make_su11_cs(a, 256)), z)
+
+    def test_state_with_no_represented_term_is_refused(self):
+        # 1/n! zeroes g_180 of |180>, so the series is all zero but Z = 0.9^180
+        with pytest.raises(IllConditionedError):
+            laplace_to_disk(bg_function(make_number(180, 256)), 0.9)
 
     @pytest.mark.parametrize(
         "state",

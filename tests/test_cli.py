@@ -481,6 +481,16 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["ray"]["t"] == []
 
+    def test_bg_of_a_number_state_past_the_factorials_warns(self, capsys):
+        # 1/n! zeroes every term of |200>, which is no exact polynomial:
+        # U(200) = 200^200/200! ~ 2e85 is beyond the radius, not 0
+        with pytest.warns(UserWarning, match="beyond the validated radius"):
+            code, _, _ = run(
+                capsys, "bg", "--n", "256", "--tmax", "200", "--points", "3",
+                "--json", '{"kind":"number","m":200}',
+            )
+        assert code == EXIT_OK
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bg_overflow_on_the_ray_exits_numeric(self, capsys):
         # u^3 overflows at |u| = 1e300: exit 3 rather than NaN in the JSON

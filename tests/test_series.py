@@ -107,6 +107,22 @@ class TestSeriesMul:
         monkeypatch.setattr(np, "convolve", refuse)
         series_mul(a, b, length)
 
+    def test_fft_product_near_the_float_range_stays_finite(self):
+        # the transforms reach |a|_1 |b|_1, past the float range here, while
+        # np.convolve stays finite
+        a, b = seeded_series(1, 1024), seeded_series(2, 1024)
+        got = series_mul(1e304 * a, b, 1024)
+        assert np.isfinite(got).all()
+        scale = 1e304 * np.linalg.norm(a) * np.linalg.norm(b)
+        want = series_mul_oracle(1e304 * a, b, 1024)
+        assert np.max(np.abs(got - want)) <= FFT_ERROR_BOUND * EPS * scale
+
+    def test_rescaled_fft_product_keeps_the_bits(self):
+        # the rescale is by powers of two, so it scales the product exactly
+        a, b = seeded_series(3, 1024), seeded_series(4, 700)
+        got = series_mul(2.0**1000 * a, b, 1024)
+        assert bit_equal(got, 2.0**1000 * series_mul(a, b, 1024))
+
 
 class TestSeriesDiv:
     @settings(max_examples=60, deadline=None)

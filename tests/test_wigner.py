@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -320,6 +321,81 @@ class TestDefaultGrid:
         else:
             w = WeylElement(shift, 0.4, 0.1)
             assert _default_grid_of_shift_check(make_number(0, n), w) == cli_grid
+
+
+def _one_table_lattice(state, n_max, grid_size):
+    """The whole lattice from one full-width table, harmonics up to 2 n_max + 1."""
+    m = wigner_module._grid_size(state.truncation, n_max, grid_size)
+    table = wigner_module._coefficient_table(
+        state.coeffs, range(n_max + 1), 2 * n_max + 1
+    )
+    return wigner_module._lattice(table, m)
+
+
+def _traced_peak(call) -> int:
+    """Bytes that `call` holds at its peak beyond what was live before it."""
+    call()  # fill the per-grid caches first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocks:
+    """Blocks of levels, each over its live harmonics, give the one-table bits."""
+
+    @pytest.mark.parametrize(
+        "state, n_max, grid_size",
+        [
+            (make_pi_superposition(0.7, 2.1, 512), None, None),
+            (make_su11_cs(0.6 + 0.2j, 64), 80, None),  # past the truncation
+            (make_bg(1.3j, 64), 40, 100),  # 2 n_max + 2 <= M < 4 n_max + 3
+            (superpose([make_number(0, 48), make_number(5, 48)], [1, 1]), 60, 150),
+        ],
+    )
+    @pytest.mark.parametrize("cells", [1, 5000, None])
+    def test_blocked_lattice_bits(self, state, n_max, grid_size, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(wigner_module, "_BLOCK_CELLS", cells)
+        got = wigner_grid(state, n_max, grid_size).values
+        want = _one_table_lattice(
+            state, state.truncation - 1 if n_max is None else n_max, grid_size
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "state, w, n_max",
+        [
+            (make_su11_cs(0.5 - 0.3j, 128), WeylElement(3, 0.7, 0.2), None),
+            (make_pi_superposition(0.6, 1.2, 64), WeylElement(0, -1.1), 70),
+            (make_bg(0.8, 48), WeylElement(60, 0.4), None),  # levels past N - 1
+        ],
+    )
+    def test_blocked_shift_check(self, state, w, n_max, monkeypatch):
+        monkeypatch.setattr(wigner_module, "_BLOCK_CELLS", 1 << 40)
+        whole = shift_covariance_check(state, w, n_max)
+        monkeypatch.setattr(wigner_module, "_BLOCK_CELLS", 1000)
+        assert shift_covariance_check(state, w, n_max) == whole
+
+    def test_lattice_peak_near_its_output(self):
+        state = make_pi_superposition(0.7, 2.1, 512)
+        out = wigner_grid(state).values.nbytes
+        assert _traced_peak(lambda: wigner_grid(state)) <= 1.25 * out
+
+    def test_shift_check_holds_less_than_one_lattice(self):
+        state = make_su11_cs(0.6, 512)
+        w = WeylElement(2, 0.3, 0.1)
+        out = wigner_grid(apply(w, state), grid_size=2048).values.nbytes
+        assert _traced_peak(lambda: shift_covariance_check(state, w)) < out
+
+    def test_level_past_the_truncation_builds_one_column(self):
+        # a full-width row at n = 1e5 takes about 12 MB
+        state = make_su11_cs(0.6, 64)
+        assert _traced_peak(lambda: wigner(state, 10**5, 0.3)) < 64 * 1024
+        assert wigner(state, 10**5, 0.3) == 0.0
 
 
 class TestChebyshev:
