@@ -252,7 +252,7 @@ def _check_budget(args, levels: int, m: int) -> None:
     exceed MAX_CELLS, naming the flag that asks for it."""
     cells = [("--n", args.n), ("--weyl", levels)]
     if args.command in ("factor", "bg"):
-        cells.append(("--grid", 3 * m))  # the boundary on grids M and 2M
+        cells.append(("--grid", 3 * m))  # Z, B and Z / B on the grid M
     elif args.command == "phase-dist":
         cells.append(("--grid", m))
     elif args.command == "wigner" and args.n_max is None:

@@ -50,6 +50,14 @@ def _twist_table(grid_size: int) -> np.ndarray:
     return twist
 
 
+@lru_cache(maxsize=8)
+def circle_points(grid_size: int) -> np.ndarray:
+    """Read-only e^{i theta_j} on the midpoint grid, filled once per grid size."""
+    points = np.exp(1j * midpoint_grid(grid_size))
+    points.setflags(write=False)
+    return points
+
+
 def _twist(length: int, grid_size: int) -> np.ndarray:
     """twist_n = (-1)^n e^{i pi n / M}, n < length, so that on the midpoint grid
     e^{i n theta_j} = twist_n e^{2 pi i n j / M}.

@@ -1,16 +1,22 @@
-"""Minimum-phase / all-pass splitting of disk functions.
+"""Inner/outer splitting of disk functions.
 
-The outer (minimum-phase) part is exp of the analytic completion of
-ln|boundary|, obtained cepstrally: Fourier-analyse the sampled log-modulus,
-keep the analytic half, exponentiate it pointwise on the 2M midpoint grid
-and take the coefficients back by one FFT. The inner (all-pass) part is the
-quotient of truncated series Z / outer, with 1/outer by Newton doubling;
-outer * inner reproduces the coefficients to rounding level. Products of
-two operands of 512 terms or more, in the quotient and in that check, are
-FFT products (`series.series_mul`), which round relative to the largest
-coefficient: at N = 512-2048 the inner series stays within 5.4e-15 of the
-all-`np.convolve` quotient and the residual within 5.5e-15. Below 512
-terms the bits are those of `np.convolve`.
+The disk function Z of a finite state is a polynomial, and the inner
+factor of a polynomial is exactly z^m times the finite Blaschke product B
+of its zeros in the open disk: there is no singular inner factor (Garnett,
+Bounded Analytic Functions, ch. II; Duren, Theory of H^p Spaces, 1970).
+`factorize` therefore takes the zeros first. It samples Z once on the
+midpoint grid M >= 2N, builds B there pointwise, and takes the outer
+series as the first N Fourier coefficients of Z / B, one FFT; that is
+exact up to rounding, since Z / (z^m B) is a polynomial of degree < N.
+The inner series is the first N Taylor coefficients of z^m B: zeros with
+|gamma|^(M - N) <= eps go into the same FFT of B's grid samples, whose
+fold-back onto the first N coefficients then stays below eps, and zeros
+nearer the circle into the series product `blaschke_product`. Both series
+are rotated so that outer[0] > 0. Jensen's formula gives the outer defect
+as the sum of ln(1/|gamma|) over the roots inside the circle.
+A zero closer to the circle than its rounding radius is refused: the
+coefficients do not decide on which side of the circle it lies.
+
 The disk zeros are the roots of the coefficient polynomial inside
 |z| < r = 1 - edge_margin.
 After the tail of l1 mass <= eps * max|f| is dropped, the argument
@@ -23,17 +29,10 @@ whenever that result is not certified: a non-integer count, differing
 counts (a root in the edge annulus), k > 32, Newton failing, a zero leaving
 |z| < r or two zeros coinciding.
 
-Quadrature of ln|boundary| is the one genuinely lossy step: states whose
-boundary function vanishes somewhere on the circle (integrable log
-singularity) leave an O(1/M) alias in every Fourier coefficient. The
-pipeline therefore evaluates the log-spectrum on grids M and 2M and
-Richardson-extrapolates the 1/M term away (2 phi_2M - phi_M), which makes
-the mean (hence the outer defect) exact to rounding for the
-root-of-unity zero patterns of the catalog. The pointwise inner modulus
-does not share that exactness: for the vacuum-plus-|m> states its worst
-deviation from 1 on the circle is about 7e-3 (m = 1), 8e-2 (m = 3), 0.55
-(m = 5) and 0.59 (m = 7), the same at N = 64 and N = 256 on the default
-grid. `inner_boundary_deviation` reports the measured figure on every call.
+The cepstral route stays available beside `factorize`, which uses none of
+it: `compute_phi` and `refined_phi` take the log-spectrum (the analytic
+completion of ln|boundary|), `outer_part` exponentiates it, `inner_part`
+divides by the result, and `outer_defect` and `is_outer` read its mean.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .disk import (
     BoundarySamples,
     boundary,
     circle_coefficients,
+    circle_points,
     circle_values,
     default_grid_size,
 )
@@ -69,6 +69,8 @@ _MAX_CONTOUR_ZEROS = 32
 _MIN_CONTOUR_GRID = 1024
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-12
+# cells of the gamma^n table behind the rounding radii, per block of zeros
+_RADII_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +280,14 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
     return roots
 
 
+def _rescaled(poly: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+    """`poly` and its largest modulus `scale` times the exact power of two
+    that brings `scale` into [1/2, 1)."""
+    exponent = math.frexp(scale)[1]
+    poly = np.ldexp(poly.real, -exponent) + 1j * np.ldexp(poly.imag, -exponent)
+    return poly, math.ldexp(scale, -exponent)
+
+
 def blaschke_zeros(
     state: FockState, edge_margin: float = DEFAULT_EDGE_MARGIN
 ) -> DiskZeros:
@@ -297,12 +307,9 @@ def blaschke_zeros(
     scale = float(np.max(np.abs(poly)))
     if scale == 0.0:
         raise DomainError("coefficient vector is identically zero")
-    # Roots are scale-free: an exact power-of-two rescale to max|f| in
-    # [1/2, 1) keeps subnormal coefficients from underflowing the contour
-    # sums or overflowing the companion matrix.
-    exponent = math.frexp(scale)[1]
-    poly = np.ldexp(poly.real, -exponent) + 1j * np.ldexp(poly.imag, -exponent)
-    scale = math.ldexp(scale, -exponent)
+    # Roots are scale-free: the rescale keeps subnormal coefficients from
+    # underflowing the contour sums or overflowing the companion matrix.
+    poly, scale = _rescaled(poly, scale)
     lead = 0
     while abs(poly[lead]) <= _MONOMIAL_EPS * scale:
         lead += 1
@@ -361,14 +368,16 @@ class FactoredState:
     `zeros` lists the clustered disk zeros with nonzero modulus;
     `monomial_degree` is the multiplicity of the zero at the origin, kept
     apart because the normalised factor degenerates there. `outer_defect`
-    is +inf when f_0 = 0. `singular_defect` is what remains of the defect
-    after the monomial and the listed zeros are accounted for; a value
-    above the threshold flags a suspected zero-free (singular) inner factor.
+    is the sum of ln(1/|gamma|) over `zeros` and `near_edge`, +inf with a
+    monomial. `singular_defect` is the mean of ln|boundary| less
+    ln|f_m| (f_m the first nonzero coefficient) and the sum over `zeros`:
+    for a finite state it measures zeros left out of `zeros` and quadrature
+    error, and a value above the threshold flags a suspected zero-free
+    (singular) inner factor.
     """
 
     outer_coeffs: np.ndarray
     inner_coeffs: np.ndarray
-    phi: PhiSeries
     zeros: tuple[tuple[complex, int], ...]
     monomial_degree: int
     near_edge: tuple[complex, ...]
@@ -387,53 +396,121 @@ class FactoredState:
             object.__setattr__(self, name, arr)
 
 
+def _rounding_radii(poly: np.ndarray, zeros) -> np.ndarray:
+    """How far relative coefficient errors of eps can move each zero.
+
+    A zero gamma of multiplicity p moves by up to
+    (eps sum_n |f_n| |gamma|^n / |Z^(p)(gamma) / p!|)^(1/p) (Mosier 1986 for
+    p = 1). The radius is scale-free, so the coefficients are rescaled
+    first (`_rescaled`). The powers gamma^n are running products, a block of
+    zeros at a time.
+    """
+    poly = _rescaled(poly, float(np.max(np.abs(poly))))[0]
+    gammas = np.array([g for g, _ in zeros], dtype=complex)
+    mults = np.array([p for _, p in zeros])
+    size = np.empty(gammas.size)
+    lead = np.empty(gammas.size, dtype=complex)
+    # Taylor coefficient of order p at gamma: sum_n C(n + p, p) f_{n+p} gamma^n
+    shifted = {}
+    for p in set(mults.tolist()):
+        n = np.arange(poly.size - p)
+        binom = np.ones(n.size)
+        for j in range(1, p + 1):
+            binom *= (n + j) / j
+        shifted[p] = binom * poly[p:]
+    rows = max(1, _RADII_CELLS // poly.size)
+    for start in range(0, gammas.size, rows):
+        block = slice(start, start + rows)
+        powers = np.empty((gammas[block].size, poly.size), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = gammas[block, None]
+        np.cumprod(powers, axis=1, out=powers)
+        size[block] = np.abs(powers) @ np.abs(poly)
+        for p, coeffs in shifted.items():
+            rows_p = mults[block] == p
+            lead[block][rows_p] = powers[rows_p, : poly.size - p] @ coeffs
+    with np.errstate(divide="ignore"):
+        return (_EPS * size / np.abs(lead)) ** (1.0 / mults)
+
+
+def _blaschke_values(zeros, points: np.ndarray) -> np.ndarray:
+    """prod of ((conj g / |g|) (g - z) / (1 - conj(g) z))^p at `points`."""
+    values = np.ones(points.size, dtype=complex)
+    for g, p in zeros:
+        factor = (g - points) / (1.0 - np.conj(g) * points)
+        factor *= np.conj(g) / abs(g)
+        for _ in range(p):
+            values *= factor
+    return values
+
+
 def factorize(
     state: FockState,
     grid_size: int | None = None,
     edge_margin: float = DEFAULT_EDGE_MARGIN,
 ) -> FactoredState:
-    """Full pipeline: boundary -> phi -> outer -> inner -> zeros -> diagnostics."""
+    """Full pipeline: zeros -> B on the boundary grid -> outer Z / B, inner B
+    -> diagnostics.
+
+    Raises IllConditionedError when a zero of the split lies within its
+    rounding radius (`_rounding_radii`) of the unit circle: which side of
+    the circle it is on is then not decided by the coefficients.
+    """
     n = state.truncation
     base = default_grid_size(n) if grid_size is None else int(grid_size)
-    phi = refined_phi(state, n, base)
-    outer = outer_part(phi, n)
-    inner = inner_part(state, outer)
-    if not (np.isfinite(outer).all() and np.isfinite(inner).all()):
-        raise IllConditionedError("the outer or inner series is not finite")
-
     extraction = blaschke_zeros(state, edge_margin)
-    monomial = 0
-    zeros = []
-    for gamma, mult in extraction.zeros:
-        if gamma == 0:
-            monomial += mult
-        else:
-            zeros.append((gamma, mult))
-
+    monomial = sum(p for g, p in extraction.zeros if g == 0)
+    zeros = tuple((g, p) for g, p in extraction.zeros if g != 0)
     target = np.conj(state.coeffs)
-    residual = float(np.max(np.abs(series_mul(outer, inner, n) - target)))
-    inner_dev = float(
-        np.max(np.abs(np.abs(circle_values(inner, 2 * base)) - 1.0))
-    )
-
-    mean_log_abs = float(phi.phi[0].real)
-    defect = _defect(mean_log_abs, abs(state.coeffs[0]))
-    # defect with the origin zeros divided out: ln|boundary| is unchanged,
-    # the value at 0 becomes the first surviving coefficient
-    if monomial:
-        after_monomial = mean_log_abs - math.log(abs(target[monomial]))
+    samples = boundary(state, base)
+    if zeros:
+        for (g, _), r in zip(zeros, _rounding_radii(target, zeros)):
+            if not 1.0 - abs(g) > r:
+                raise IllConditionedError(
+                    f"disk zero {g:.6g} is {1.0 - abs(g):.2g} from the unit "
+                    f"circle, within its rounding radius {r:.2g}"
+                )
+        points = circle_points(base)
+        # B's coefficients decay like |g|^k, so the grid folds them back onto
+        # the first N below eps except for zeros near the circle, whose
+        # factors are multiplied in as series
+        near = [abs(g) ** (base - n) > _EPS for g, _ in zeros]
+        fast = [z for z, s in zip(zeros, near) if not s]
+        slow = [z for z, s in zip(zeros, near) if s]
+        b_fast = _blaschke_values(fast, points)
+        b = b_fast * _blaschke_values(slow, points)
+        quotient, b_series = circle_coefficients(
+            np.stack((samples.values / b, b_fast)), n
+        )
+        if slow:
+            b_series = series_mul(b_series, blaschke_product(slow, n), n)
     else:
-        after_monomial = defect
-    accounted = sum(p * math.log(1.0 / abs(g)) for g, p in zeros)
-    singular_defect = after_monomial - accounted
+        quotient, b_series = target, blaschke_product((), n)
+    # Z = z^m Z_1, and Z_1 / B is a polynomial of degree N - 1 - m: its
+    # coefficients are those of Z / B from m on
+    lead = quotient[monomial]
+    phase = np.exp(-1j * np.angle(lead))  # lead may be subnormal
+    outer = np.zeros(n, dtype=complex)
+    outer[: n - monomial] = phase * quotient[monomial:]
+    outer[0] = abs(lead)
+    inner = np.zeros(n, dtype=complex)
+    inner[monomial:] = b_series[: n - monomial] / phase
+
+    residual = float(np.max(np.abs(series_mul(outer, inner, n) - target)))
+    inner_dev = float(np.max(np.abs(np.abs(circle_values(inner, base)) - 1.0)))
+    # Jensen's formula: the mean of ln|Z| on the circle exceeds ln|Z(0)| by
+    # sum ln(1/|g|) over the disk zeros
+    jensen = sum(p * math.log(1.0 / abs(g)) for g, p in zeros)
+    edge = sum(math.log(1.0 / abs(g)) for g in extraction.near_edge)
+    mean_log_abs = float(np.mean(samples.log_abs))
+    singular_defect = mean_log_abs - math.log(abs(target[monomial])) - jensen
     return FactoredState(
         outer_coeffs=outer,
         inner_coeffs=inner,
-        phi=phi,
-        zeros=tuple(zeros),
+        zeros=zeros,
         monomial_degree=monomial,
         near_edge=extraction.near_edge,
-        outer_defect=defect,
+        outer_defect=math.inf if monomial else jensen + edge,
         singular_defect=singular_defect,
         singular_suspected=bool(singular_defect > DEFAULT_SINGULAR_TOL),
         reconstruction_residual=residual,

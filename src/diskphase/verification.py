@@ -208,26 +208,16 @@ def check_inner_criteria() -> tuple[float, ...]:
     """Boundary modulus 1 and interior bound for every computed inner part.
 
     Runs at truncation 128 so geometric tails of the radius-0.8 states sit
-    below the tolerance. States whose boundary function vanishes somewhere
-    on the circle are excluded: for those the log-modulus quadrature leaves
-    a pointwise inner-modulus error near the zero, here 8e-4 (vacuum + |1>)
-    up to 0.32 (vacuum + |7>), and on the default grid M = 4N from 7e-3 up
-    to 0.59 (a documented limit; their classification is covered by the
-    defect checks). The measured figure is returned after the residuals,
-    for the detail field.
+    below the tolerance.
     """
     lattice = _interior_lattice()
     worst_boundary = 0.0
     worst_interior = 0.0
-    documented = 0.0
-    for entry, fac, _ in _factored(128, 1024):
-        if entry.boundary_zero:
-            documented = max(documented, fac.inner_boundary_deviation)
-            continue
+    for _, fac, _ in _factored(128, 1024):
         worst_boundary = max(worst_boundary, fac.inner_boundary_deviation)
         mods = np.abs(series_eval(fac.inner_coeffs, lattice))
         worst_interior = max(worst_interior, float(np.max(mods)) - 1.0)
-    return worst_boundary, worst_interior, documented
+    return worst_boundary, worst_interior
 
 
 # --- criterion 4: zero extraction --------------------------------------------
@@ -451,8 +441,7 @@ _CHECKS = (
     )),
     (check_inner_criteria, (
         ("inner-boundary-modulus", 3, TOL_INNER_BOUNDARY,
-         "zero-free catalog at N=128; boundary-zero states measured at "
-         "{0:.2e} (documented log-singularity limit)"),
+         "max ||inner| - 1| on the circle over the catalog at N=128"),
         ("inner-interior-bound", 3, TOL_INNER_INTERIOR,
          "max(|inner(z)| - 1) on the |z| <= 0.95 lattice"),
     )),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .disk import eval_Z
 from .errors import DomainError
-from .factorization import factorize
+from .factorization import factorize, refined_phi
 from .series import series_eval
 from .states import FockState
 
@@ -114,15 +114,13 @@ def transformation_check(
     rhs = np.exp(-1j * w.gamma) * zs**w.m * eval_Z(state, rotated)
     analytic = float(np.max(np.abs(lhs - rhs)))
 
+    phi_f = refined_phi(state, state.truncation).phi
+    phi_g = refined_phi(g, g.truncation).phi
+    phi = float(
+        np.max(np.abs(series_eval(phi_g, zs) - series_eval(phi_f, rotated)))
+    )
     fac_f = factorize(state)
     fac_g = factorize(g)
-    phi = float(
-        np.max(
-            np.abs(
-                series_eval(fac_g.phi.phi, zs) - series_eval(fac_f.phi.phi, rotated)
-            )
-        )
-    )
     inner = float(
         np.max(
             np.abs(

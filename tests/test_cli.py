@@ -504,10 +504,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["factor", "bg"])
     def test_non_finite_factorisation_exits_numeric(self, capsys, command):
-        # the inner quotient of bg(20) overflows at the default N = 256
+        # the disk zeros of bg(20) at the default N = 256 lie within their
+        # rounding radii of the circle
         code, out, err = run(capsys, command, "--json", '{"kind":"bg","u":[20,0]}')
         assert code == EXIT_NUMERIC and out == ""
-        assert "not finite" in err and "Traceback" not in err
+        assert "rounding radius" in err and "Traceback" not in err
 
     def test_deeply_nested_spec_file(self, capsys, tmp_path):
         # 900 superpose levels: deeper than json.loads can decode

@@ -540,8 +540,9 @@ class TestBlaschkeProduct:
 
 class TestFactorize:
     def test_overflowing_inner_quotient_is_refused(self):
-        # conj(f) / outer overflows for the factorial state bg(20) at N = 256
-        with pytest.raises(IllConditionedError, match="not finite"):
+        # the disk zeros of the factorial state bg(20) at N = 256 lie within
+        # their rounding radii of the circle
+        with pytest.raises(IllConditionedError, match="rounding radius"):
             factorize(make_bg(20.0, 256))
 
     def test_vacuum_plus_number_is_outer(self):
@@ -549,8 +550,8 @@ class TestFactorize:
         assert fac.outer_defect < 1e-6
         assert fac.zeros == ()
         assert not fac.singular_suspected
-        # quadrature near the boundary zeros limits the inner series to ~1e-3
-        np.testing.assert_allclose(fac.inner_coeffs, np.eye(64)[0], atol=1e-2)
+        # no disk zeros: the inner series is the unit constant
+        np.testing.assert_allclose(fac.inner_coeffs, np.eye(64)[0], atol=1e-15)
 
     def test_superposition_inner_regime(self):
         tau = 3 * math.pi / 4
@@ -602,9 +603,8 @@ class TestFactorize:
         rng = np.random.default_rng(5)
         z = rng.uniform(0.05, 0.9, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
         for state in (make_su11_cs(0.5j, 64), make_blaschke_state(0.5, 64)):
-            fac = factorize(state, grid_size=512)
             lhs = np.log(np.abs(eval_Z(state, z)))
-            rhs = np.real(series_eval(fac.phi.phi, z))
+            rhs = np.real(series_eval(refined_phi(state, 64, 512).phi, z))
             assert np.max(lhs - rhs) <= 1e-8
 
     def test_phase_density_from_outer_part(self):
@@ -651,6 +651,98 @@ class TestFactorize:
             assert not factorize(state, grid_size=512).singular_suspected
 
 
+# |gamma| = cot(tau / 2) / 0.8 = 1 for the pi-superposition with z0 = 0.8
+TAU_CRITICAL = 2.0 * math.atan(1.0 / 0.8)
+
+
+def jensen_sum(zeros):
+    return sum(p * math.log(1.0 / abs(g)) for g, p in zeros)
+
+
+def polynomial_state(gammas, n):
+    """The state whose disk function is prod (z - gamma) / norm, padded to N."""
+    poly = np.zeros(n, dtype=complex)
+    poly[0] = 1.0
+    for g in gammas:
+        poly[1:] = poly[:-1] - g * poly[1:]
+        poly[0] *= -g
+    return raw_state(np.conj(poly) / np.linalg.norm(poly))
+
+
+class TestSplitFromZeros:
+    """The inner factor of a polynomial is the Blaschke product B of its disk
+    zeros, so the split is exact up to rounding wherever the zeros are."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_inner_unimodular_with_zeros_on_the_circle(self, m, n):
+        fac = factorize(vacuum_plus(m, n))
+        assert fac.inner_boundary_deviation <= 1e-12
+
+    @pytest.mark.parametrize("n", [96, 256])
+    @pytest.mark.parametrize("offset", [-1e-2, -1e-3, 1e-3, 1e-2])
+    def test_outer_defect_is_jensen_sum_near_the_circle(self, offset, n):
+        tau = TAU_CRITICAL + offset
+        gamma = 1j / math.tan(tau / 2) / 0.8
+        fac = factorize(make_pi_superposition(0.8, tau, n))
+        expected = jensen_sum([(gamma, 1)]) if abs(gamma) < 1 else 0.0
+        assert len(fac.zeros) == (abs(gamma) < 1)
+        assert abs(fac.outer_defect - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_catalog_residual_at_rounding(self, n):
+        for entry in ver.build_catalog(n):
+            assert factorize(entry.state).reconstruction_residual <= 1e-15
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            make_blaschke_state(0.3 + 0.4j, 256),
+            make_pi_superposition(0.8, TAU_CRITICAL + 1e-3, 256),
+            spread_series_product(2, 12),
+            polynomial_state([0.5, -0.3j, 0.99 * np.exp(2j)], 128),
+            polynomial_state([0.4j, 0.4j, -0.5, 0.995], 64),
+        ],
+        ids=["blaschke", "near-circle", "12-zeros", "mixed", "double"],
+    )
+    def test_inner_series_is_blaschke_product(self, state):
+        """Zeros deep in the disk take B's coefficients from its grid samples,
+        those near the circle its series product: both give the product."""
+        fac = factorize(state)
+        product = blaschke_product(fac.zeros, state.truncation)
+        phase = np.vdot(product, fac.inner_coeffs) / np.vdot(product, product)
+        assert abs(abs(phase) - 1.0) <= 1e-15
+        assert np.max(np.abs(fac.inner_coeffs - phase * product)) <= 1e-15
+
+    @pytest.mark.parametrize("u0", range(8, 19))
+    def test_large_factorial_states_reconstruct(self, u0):
+        assert factorize(make_bg(u0, 256)).reconstruction_residual <= 1e-15
+
+    @pytest.mark.parametrize("exponent", [-2, -1000, -1060])
+    def test_subnormal_coefficients_split(self, exponent):
+        # the rounding radii and the phase of the outer series stay finite
+        poly = np.convolve([-0.5, 1.0], [-0.25j, 1.0]) * 2.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fac = factorize(raw_state(np.conj(poly)))
+        assert [p for _, p in fac.zeros] == [1, 1]
+        assert fac.outer_coeffs[0].real > 0 and fac.outer_coeffs[0].imag == 0
+        assert abs(fac.outer_defect - math.log(8.0)) <= 1e-12
+
+    def test_no_log_spectrum_on_the_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorize called a log-spectrum stage")
+
+        for name in ("refined_phi", "outer_part", "inner_part"):
+            monkeypatch.setattr(fz_module, name, refuse)
+        for state in (
+            make_pi_superposition(0.8, 3 * math.pi / 4, 64),
+            vacuum_plus(3, 64),
+            make_su11_cs(0.5, 64),
+        ):
+            factorize(state)
+
+
 @pytest.mark.parametrize(
     "state",
     [
@@ -664,13 +756,14 @@ def test_factorize_bits_match_full_grid_twist(state, monkeypatch):
     """Every output of `factorize` keeps its bits when the boundary FFTs twist
     the whole grid (the oracles) instead of the live band only."""
     fast = factorize(state)
+    fast_phi = refined_phi(state, state.truncation).phi
     monkeypatch.setattr(disk_module, "circle_values", circle_values_oracle)
     monkeypatch.setattr(fz_module, "circle_values", circle_values_oracle)
     monkeypatch.setattr(fz_module, "circle_coefficients", circle_coefficients_oracle)
     slow = factorize(state)
     for name in ("outer_coeffs", "inner_coeffs"):
         assert bit_equal(getattr(fast, name), getattr(slow, name))
-    assert bit_equal(fast.phi.phi, slow.phi.phi)
+    assert bit_equal(fast_phi, refined_phi(state, state.truncation).phi)
     assert fast.zeros == slow.zeros and fast.near_edge == slow.near_edge
     for name in (
         "outer_defect",
@@ -702,8 +795,9 @@ def convolve_factorize(state, monkeypatch):
 @pytest.mark.parametrize("n", [512, 1024, 2048])
 @pytest.mark.parametrize("name", sorted(FFT_STATES))
 def test_fft_products_match_convolve_factorization(name, n, monkeypatch):
-    """From 512 terms the inner quotient and the reconstruction check take
-    FFT products; the outer series and the zeros never use them."""
+    """From 512 terms the reconstruction check and the series product of
+    zeros near the circle take FFT products; the outer series and the zeros
+    never use them."""
     state = FFT_STATES[name](n)
     fast = factorize(state)
     slow = convolve_factorize(state, monkeypatch)
