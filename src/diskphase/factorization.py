@@ -13,7 +13,12 @@ The inner series is the first N Taylor coefficients of z^m B: zeros with
 fold-back onto the first N coefficients then stays below eps, and zeros
 nearer the circle into the series product `blaschke_product`. Both series
 are rotated so that outer[0] > 0. Jensen's formula gives the outer defect
-as the sum of ln(1/|gamma|) over the roots inside the circle.
+as the sum of ln(1/|gamma|) over the zeros of B.
+B takes the zeros inside |z| < 1 - edge_margin only. Roots in the edge band
+1 - edge_margin <= |z| < 1 are not told apart from truncation artefacts, so
+they stay in the outer series, are listed in `near_edge` and are left out of
+the outer defect; the singular defect, the Jensen gap left after the zeros
+of B, counts them to the grid's quadrature accuracy.
 A zero closer to the circle than its rounding radius is refused: the
 coefficients do not decide on which side of the circle it lies.
 
@@ -69,7 +74,7 @@ _MAX_CONTOUR_ZEROS = 32
 _MIN_CONTOUR_GRID = 1024
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-12
-# cells of the gamma^n table behind the rounding radii, per block of zeros
+# cells of one block of the gamma^n table behind the rounding radii
 _RADII_CELLS = 1 << 16
 
 
@@ -207,18 +212,28 @@ def _winding(
     return complex(outer_count), complex(count), log_derivative[1]
 
 
+def _powers(
+    z: np.ndarray, length: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The table z[:, None] ** arange(length), as running products along
+    its rows; filled into `out` when given."""
+    if out is None:
+        out = np.empty((z.size, length), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _newton(poly: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     """Newton-polish the roots `z` of sum poly[n] z^n; None if one fails.
 
-    The powers z^n are running products along the rows of one k x L array.
+    Every step refills one k x L table of the powers z^n (`_powers`).
     """
     dpoly = np.arange(1, poly.size) * poly[1:]
     powers = np.empty((z.size, poly.size), dtype=complex)
-    powers[:, 0] = 1.0
 
     def step(z: np.ndarray) -> np.ndarray:
-        powers[:, 1:] = z[:, None]
-        np.cumprod(powers, axis=1, out=powers)
+        _powers(z, poly.size, powers)
         return (powers @ poly) / (powers[:, :-1] @ dpoly)
 
     with np.errstate(all="ignore"):
@@ -367,13 +382,16 @@ class FactoredState:
 
     `zeros` lists the clustered disk zeros with nonzero modulus;
     `monomial_degree` is the multiplicity of the zero at the origin, kept
-    apart because the normalised factor degenerates there. `outer_defect`
-    is the sum of ln(1/|gamma|) over `zeros` and `near_edge`, +inf with a
-    monomial. `singular_defect` is the mean of ln|boundary| less
-    ln|f_m| (f_m the first nonzero coefficient) and the sum over `zeros`:
-    for a finite state it measures zeros left out of `zeros` and quadrature
-    error, and a value above the threshold flags a suspected zero-free
-    (singular) inner factor.
+    apart because the normalised factor degenerates there. The inner series
+    is z^m times the Blaschke product of `zeros`; the roots in `near_edge`
+    stay in the outer series. `outer_defect` is the sum of ln(1/|gamma|)
+    over `zeros`, +inf with a monomial. `singular_defect` is the mean of
+    ln|boundary| (Richardson-extrapolated from grids M and 2M) less ln|f_m|
+    (f_m the first nonzero coefficient) and the sum over `zeros`: for a
+    finite state it measures the `near_edge` roots, zeros left out of
+    `zeros` and quadrature error, and a value above the threshold flags a
+    suspected zero-free (singular) inner factor. `inner_boundary_deviation`
+    is max ||inner| - 1| on the grid 2M.
     """
 
     outer_coeffs: np.ndarray
@@ -402,8 +420,8 @@ def _rounding_radii(poly: np.ndarray, zeros) -> np.ndarray:
     A zero gamma of multiplicity p moves by up to
     (eps sum_n |f_n| |gamma|^n / |Z^(p)(gamma) / p!|)^(1/p) (Mosier 1986 for
     p = 1). The radius is scale-free, so the coefficients are rescaled
-    first (`_rescaled`). The powers gamma^n are running products, a block of
-    zeros at a time.
+    first (`_rescaled`). The powers gamma^n (`_powers`) are tabled a block
+    of zeros at a time.
     """
     poly = _rescaled(poly, float(np.max(np.abs(poly))))[0]
     gammas = np.array([g for g, _ in zeros], dtype=complex)
@@ -421,10 +439,7 @@ def _rounding_radii(poly: np.ndarray, zeros) -> np.ndarray:
     rows = max(1, _RADII_CELLS // poly.size)
     for start in range(0, gammas.size, rows):
         block = slice(start, start + rows)
-        powers = np.empty((gammas[block].size, poly.size), dtype=complex)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = gammas[block, None]
-        np.cumprod(powers, axis=1, out=powers)
+        powers = _powers(gammas[block], poly.size)
         size[block] = np.abs(powers) @ np.abs(poly)
         for p, coeffs in shifted.items():
             rows_p = mults[block] == p
@@ -451,6 +466,9 @@ def factorize(
 ) -> FactoredState:
     """Full pipeline: zeros -> B on the boundary grid -> outer Z / B, inner B
     -> diagnostics.
+
+    B is built from the zeros inside |z| < 1 - edge_margin; roots in the
+    edge band stay in the outer series (see `FactoredState`).
 
     Raises IllConditionedError when a zero of the split lies within its
     rounding radius (`_rounding_radii`) of the unit circle: which side of
@@ -497,12 +515,15 @@ def factorize(
     inner[monomial:] = b_series[: n - monomial] / phase
 
     residual = float(np.max(np.abs(series_mul(outer, inner, n) - target)))
-    inner_dev = float(np.max(np.abs(np.abs(circle_values(inner, base)) - 1.0)))
+    fine = 2 * base
+    inner_dev = float(np.max(np.abs(np.abs(circle_values(inner, fine)) - 1.0)))
     # Jensen's formula: the mean of ln|Z| on the circle exceeds ln|Z(0)| by
-    # sum ln(1/|g|) over the disk zeros
+    # sum ln(1/|g|) over the disk zeros. The midpoint mean carries an O(1/M)
+    # alias where Z vanishes on the circle (m ln 2 / M for 1 + z^m when m
+    # divides M), which 2 mean_2M - mean_M cancels.
     jensen = sum(p * math.log(1.0 / abs(g)) for g, p in zeros)
-    edge = sum(math.log(1.0 / abs(g)) for g in extraction.near_edge)
-    mean_log_abs = float(np.mean(samples.log_abs))
+    coarse = float(np.mean(samples.log_abs))
+    mean_log_abs = 2.0 * float(np.mean(boundary(state, fine).log_abs)) - coarse
     singular_defect = mean_log_abs - math.log(abs(target[monomial])) - jensen
     return FactoredState(
         outer_coeffs=outer,
@@ -510,7 +531,7 @@ def factorize(
         zeros=zeros,
         monomial_degree=monomial,
         near_edge=extraction.near_edge,
-        outer_defect=math.inf if monomial else jensen + edge,
+        outer_defect=math.inf if monomial else jensen,
         singular_defect=singular_defect,
         singular_suspected=bool(singular_defect > DEFAULT_SINGULAR_TOL),
         reconstruction_residual=residual,

@@ -689,6 +689,37 @@ class TestSplitFromZeros:
         assert len(fac.zeros) == (abs(gamma) < 1)
         assert abs(fac.outer_defect - expected) <= 1e-12
 
+    @pytest.mark.parametrize("grid", [None, 512])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_singular_defect_vanishes_with_zeros_on_the_circle(self, m, grid):
+        """The midpoint mean of ln|1 + z^m| is off by m ln 2 / M when m
+        divides M; the mean extrapolated from M and 2M is exact."""
+        fac = factorize(vacuum_plus(m, 64), grid_size=grid)
+        assert abs(fac.singular_defect) <= 1e-12
+        assert not fac.singular_suspected
+
+    @pytest.mark.parametrize("n", [96, 256])
+    def test_near_edge_root_stays_in_the_outer_series(self, n):
+        """A root in the edge band is left out of B: the outer series keeps
+        it and the outer defect leaves it out."""
+        tau = TAU_CRITICAL + 1e-4
+        gamma = 1j / math.tan(tau / 2) / 0.8
+        state = make_pi_superposition(0.8, tau, n)
+        fac = factorize(state)
+        assert fac.zeros == () and len(fac.near_edge) == 1
+        assert abs(fac.near_edge[0] - gamma) <= 1e-12
+        assert fac.outer_defect == 0.0
+        target = np.conj(state.coeffs)
+        phase = fac.outer_coeffs[0] / target[0]
+        assert abs(abs(phase) - 1.0) <= 1e-15
+        assert np.max(np.abs(fac.outer_coeffs - phase * target)) <= 1e-15
+        assert abs(series_eval(fac.outer_coeffs, gamma)) <= 1e-14
+        assert abs(fac.inner_coeffs[0] * phase - 1.0) <= 1e-15
+        assert np.all(fac.inner_coeffs[1:] == 0)
+        # the Jensen gap sees the root, to the grid's quadrature accuracy
+        assert 0.0 < fac.singular_defect < math.log(1.0 / abs(gamma))
+        assert not fac.singular_suspected
+
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_catalog_residual_at_rounding(self, n):
         for entry in ver.build_catalog(n):
