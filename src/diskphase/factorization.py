@@ -32,7 +32,8 @@ Hankel pencil for the k zeros, and Newton polishes them on the polynomial.
 Companion-matrix eigenvalues of the trimmed polynomial are the fallback
 whenever that result is not certified: a non-integer count, differing
 counts (a root in the edge annulus), k > 32, Newton failing, a zero leaving
-|z| < r or two zeros coinciding.
+|z| < r or two zeros coinciding. The simple fallback zeros inside |z| < r
+are Newton-polished on the polynomial in turn.
 
 The cepstral route stays available beside `factorize`, which uses none of
 it: `compute_phi` and `refined_phi` take the log-spectrum (the analytic
@@ -295,6 +296,28 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
     return roots
 
 
+def _polished(
+    poly: np.ndarray, zeros: list[tuple[complex, int]], radius: float
+) -> list[tuple[complex, int]]:
+    """Clustered `zeros` with the simple ones Newton-polished on `poly`.
+
+    Newton is only linear at a multiple zero, where the cluster mean is
+    the better estimate, so those keep their mean. Every zero stays as it
+    is when none is simple, Newton fails, or a polished zero leaves
+    |z| < radius.
+    """
+    simple = [i for i, (_, mult) in enumerate(zeros) if mult == 1]
+    if not simple:
+        return zeros
+    polished = _newton(poly, np.array([zeros[i][0] for i in simple]))
+    if polished is None or np.any(np.abs(polished) >= radius):
+        return zeros
+    out = list(zeros)
+    for i, gamma in zip(simple, polished):
+        out[i] = (complex(gamma), 1)
+    return out
+
+
 def _rescaled(poly: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """`poly` and its largest modulus `scale` times the exact power of two
     that brings `scale` into [1/2, 1)."""
@@ -314,7 +337,8 @@ def blaschke_zeros(
     truncation artifacts. The tail of l1 mass <= eps * max|f| is dropped
     first; the disk zeros come from `_contour_zeros` when its certificate
     holds and from the companion-matrix eigenvalues of the trimmed
-    polynomial otherwise. `edge_margin` must lie in (0, 1) (DomainError).
+    polynomial otherwise, the simple ones Newton-polished (`_polished`).
+    `edge_margin` must lie in (0, 1) (DomainError).
     """
     if not 0.0 < edge_margin < 1.0:
         raise DomainError(f"edge_margin {edge_margin} must lie in (0, 1)")
@@ -331,7 +355,8 @@ def blaschke_zeros(
     trimmed = _trim_tail(poly[lead:], scale)
     radius = 1.0 - edge_margin
     roots = _contour_zeros(trimmed, radius)
-    if roots is None:
+    fallback = roots is None
+    if fallback:
         try:
             roots = np.roots(trimmed[::-1])
         except np.linalg.LinAlgError as exc:
@@ -341,6 +366,8 @@ def blaschke_zeros(
     inside = roots[np.abs(roots) < radius]
     edge = roots[(np.abs(roots) >= radius) & (np.abs(roots) < 1.0)]
     zeros = _cluster(inside)
+    if fallback:
+        zeros = _polished(trimmed, zeros, radius)
     if lead:
         zeros.insert(0, (0.0 + 0.0j, lead))
     return DiskZeros(tuple(zeros), tuple(complex(w) for w in edge))

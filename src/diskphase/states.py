@@ -193,14 +193,33 @@ def raw_state(coeffs: np.ndarray) -> FockState:
 
 
 def superpose(states: list[FockState], amplitudes: list[complex]) -> FockState:
-    """Coefficientwise linear combination, renormalised to unit norm."""
+    """Coefficientwise linear combination, renormalised to unit norm.
+
+    Non-finite amplitudes are a SpecError. When the plain sum or its norm
+    overflows, the amplitudes are scaled down by an exact power of two
+    first, which the renormalisation undoes.
+    """
     if not states or len(states) != len(amplitudes):
         raise SpecError("need equally many states and amplitudes")
+    amplitudes = [complex(a) for a in amplitudes]
+    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amplitudes):
+        raise SpecError("superposition amplitudes must be finite")
     n = max(s.truncation for s in states)
-    combo = np.zeros(n, dtype=complex)
-    for s, a in zip(states, amplitudes):
-        combo[: s.truncation] += complex(a) * s.coeffs
-    nrm = float(np.linalg.norm(combo))
+
+    def combination(amps: list[complex]) -> tuple[np.ndarray, float]:
+        combo = np.zeros(n, dtype=complex)
+        for s, a in zip(states, amps):
+            combo[: s.truncation] += a * s.coeffs
+        return combo, float(np.linalg.norm(combo))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        combo, nrm = combination(amplitudes)
+    if not math.isfinite(nrm):
+        largest = max(max(abs(a.real), abs(a.imag)) for a in amplitudes)
+        e = -math.frexp(largest)[1]
+        combo, nrm = combination(
+            [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amplitudes]
+        )
     if nrm <= 1e-12:
         raise DegenerateSuperpositionError("superposition has (near) zero norm")
     return FockState(combo / nrm, 0.0)

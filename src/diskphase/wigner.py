@@ -6,11 +6,13 @@ f (x) conj(f) that straddle level n. One table of these coefficients, built
 by a single gather, serves every evaluation. The table is Hermitian,
 C[n, -h] = conj(C[n, h]), so only its h >= 0 half is built: Horner sums it
 at arbitrary angles, and one real inverse FFT per level
-(`disk.hermitian_circle_values`) on the lattice. Row n is nonzero only up
-to h = 2 min(n, N - 1 - n) + 1, so each table stops at the harmonics its
-levels hold, and the lattice is filled a block of levels at a time: a run
-holds its output plus one block. S is real by construction, may go
-negative, and its marginals are the number and phase distributions.
+(`disk.hermitian_circle_values`) on the lattice. With [a, b] the first and
+last nonzero coefficient of the state (its support), row n vanishes unless
+a <= n <= b and is nonzero only up to h = 2 min(n - a, b - n) + 1, so each
+table stops at the harmonics its levels hold, and the lattice transforms
+levels a..b alone, a block of levels at a time: a run holds its output
+plus one block. S is real by construction, may go negative, and its
+marginals are the number and phase distributions.
 The per-level double sum and the equivalent circle-integral form are
 deliberately left to the test suite as independent oracles.
 """
@@ -69,24 +71,36 @@ def _coefficient_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarra
     return table
 
 
-def _live_table(coeffs: np.ndarray, levels: range, top: int) -> np.ndarray:
+def _support(coeffs: np.ndarray) -> tuple[int, int]:
+    """First and last index of a nonzero coefficient; (0, -1) if there is none."""
+    live = np.flatnonzero(coeffs)
+    return (int(live[0]), int(live[-1])) if live.size else (0, -1)
+
+
+def _live_table(
+    coeffs: np.ndarray, levels: range, top: int, support: tuple[int, int]
+) -> np.ndarray:
     """`_coefficient_table` up to the highest harmonic, at most `top`, that
     can be nonzero on `levels`.
 
-    C[n, h] needs n - ceil(h/2) >= 0 and n + floor(h/2) <= N - 1, so row n
-    lives on h <= 2 min(n, N - 1 - n) + 1; rows past the truncation keep
-    h = 0 alone. The harmonics cut off are zeros, and the lattice and the
-    Horner sum of the shorter table have the same bits.
+    C[n, h] pairs f[n - ceil(h/2)] with f[n + floor(h/2)], so on the support
+    [a, b] = `_support(coeffs)` row n lives on h <= 2 min(n - a, b - n) + 1;
+    rows outside the support keep h = 0 alone, where |f_n|^2 = 0. The
+    harmonics cut off are zeros, and the lattice and the Horner sum of the
+    shorter table have the same bits.
     """
-    n = len(coeffs)
-    reach = min(levels.stop - 1, n - 1 - levels.start, (n - 1) // 2)
+    a, b = support
+    reach = min(levels.stop - 1 - a, b - levels.start, (b - a) // 2)
     return _coefficient_table(coeffs, levels, max(0, min(top, 2 * reach + 1)))
 
 
-def _blocks(levels: int, grid_size: int):
-    """Levels 0..levels-1 in consecutive ranges of _BLOCK_CELLS // M rows (>= 1)."""
+def _blocks(levels: range, grid_size: int):
+    """`levels` in consecutive ranges of _BLOCK_CELLS // M rows (>= 1)."""
     rows = max(1, _BLOCK_CELLS // grid_size)
-    return (range(a, min(a + rows, levels)) for a in range(0, levels, rows))
+    return (
+        range(a, min(a + rows, levels.stop))
+        for a in range(levels.start, levels.stop, rows)
+    )
 
 
 def _lattice(table: np.ndarray, grid_size: int) -> np.ndarray:
@@ -126,7 +140,9 @@ def wigner(state: FockState, n: int, theta):
     if n < 0:
         raise DomainError("level n must be non-negative")
     theta = np.asarray(theta, dtype=float)
-    row = _live_table(state.coeffs, range(n, n + 1), 2 * n + 1)[0]
+    row = _live_table(
+        state.coeffs, range(n, n + 1), 2 * n + 1, _support(state.coeffs)
+    )[0]
     # the h < 0 half conjugates the h > 0 one; h = 0 is counted once
     total = series_eval(row, np.exp(1j * theta))
     out = (2.0 * np.real(total) - row[0].real) / (2.0 * np.pi)
@@ -159,14 +175,15 @@ class WignerGrid:
 def wigner_grid(
     state: FockState, n_max: int | None = None, grid_size: int | None = None
 ) -> WignerGrid:
-    """Fill the lattice from the coefficient table, one real inverse FFT per level.
+    """Fill the lattice from the coefficient table, one real inverse FFT per
+    level of the state's support [a, b]; the rows outside it are zero.
 
-    The levels go in blocks of about _BLOCK_CELLS cells, each table cut to
-    the harmonics its levels can hold, so the peak memory is the output
-    plus one block. With n_max >= N - 1 both marginals are exact (the
-    function vanishes for n >= N). For an exact angle marginal the grid must exceed the top
-    harmonic 2 n_max + 1, as the default `default_grid_size(N, 2 n_max + 1)`
-    does.
+    The levels a..min(b, n_max) go in blocks of about _BLOCK_CELLS cells,
+    each table cut to the harmonics its levels can hold, so the peak memory
+    is the output plus one block. With n_max >= N - 1 both marginals are
+    exact (the function vanishes for n >= N). For an exact angle marginal
+    the grid must exceed the top harmonic 2 n_max + 1, as the default
+    `default_grid_size(N, 2 n_max + 1)` does.
     """
     if n_max is None:
         n_max = state.truncation - 1
@@ -174,10 +191,15 @@ def wigner_grid(
         raise DomainError("n_max must be non-negative")
     m = _grid_size(state.truncation, n_max, grid_size)
     top = 2 * n_max + 1
+    support = _support(state.coeffs)
+    live = range(support[0], min(support[1], n_max) + 1)
+    # irfft of an all-zero spectrum is +0.0, so the dead rows keep their bits
     values = np.empty((n_max + 1, m))
-    for block in _blocks(n_max + 1, m):
+    values[: live.start] = 0.0
+    values[live.stop :] = 0.0
+    for block in _blocks(live, m):
         values[block.start : block.stop] = _lattice(
-            _live_table(state.coeffs, block, top), m
+            _live_table(state.coeffs, block, top, support), m
         )
     return WignerGrid(n_max, midpoint_grid(m), values)
 
@@ -309,11 +331,12 @@ def shift_covariance_check(
     top = 2 * n_max + 1
     # the rotation by beta twists harmonic h by e^{-i h beta}
     twist = np.exp(-1j * w.beta * np.arange(top + 1))
+    support, shifted_support = _support(state.coeffs), _support(shifted.coeffs)
     deviation = 0.0
-    for block in _blocks(n_max + 1, m):
-        lhs = _lattice(_live_table(shifted.coeffs, block, top), m)
+    for block in _blocks(range(n_max + 1), m):
+        lhs = _lattice(_live_table(shifted.coeffs, block, top, shifted_support), m)
         levels = range(max(block.start - w.m, 0), max(block.stop - w.m, 0))
-        moved = _live_table(state.coeffs, levels, top)
+        moved = _live_table(state.coeffs, levels, top, support)
         moved *= twist[: moved.shape[1]]
         below = len(block) - len(levels)  # rows below the shift vanish
         diff = lhs[below:] - _lattice(moved, m)

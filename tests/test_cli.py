@@ -544,6 +544,42 @@ class TestExitCodes:
         assert err.startswith("spec error")
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", ["1e309", "-Infinity", "NaN", "[0,NaN]"])
+    def test_non_finite_superposition_amplitude(self, capsys, amplitude):
+        spec = (
+            '{"kind":"superpose","components":[{"kind":"number","m":1},'
+            '{"kind":"number","m":2}],"amplitudes":[%s,1]}' % amplitude
+        )
+        for command in ("state", "wigner", "factor"):
+            code, out, err = run(capsys, command, "--json", spec, "--n", "8")
+            assert code == EXIT_SPEC and out == ""
+            assert "amplitudes must be finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "amplitudes, expected",
+        [
+            ("[1e200,1]", [1.0, 1e-200]),
+            ("[1e308,-1e308]", [0.5**0.5, -(0.5**0.5)]),
+            ("[[1e308,1e308],[1e308,-1e308]]", [0.5 + 0.5j, 0.5 - 0.5j]),
+        ],
+    )
+    def test_superposition_of_huge_amplitudes(self, capsys, amplitudes, expected):
+        # the plain norm overflows; a power-of-two rescale keeps the state
+        spec = (
+            '{"kind":"superpose","components":[{"kind":"number","m":1},'
+            '{"kind":"number","m":2}],"amplitudes":%s}' % amplitudes
+        )
+        state = cli.parse_state_spec(json.loads(spec), 4)
+        np.testing.assert_allclose(
+            state.coeffs, [0, *expected, 0], rtol=1e-15, atol=0
+        )
+        for command in ("state", "wigner", "factor"):
+            code, out, err = run(capsys, command, "--json", spec, "--n", "8")
+            assert code == EXIT_OK and err == ""
+
+
 _STATE_FLAGS = {"--n", "--spec", "--json", "--weyl"}
 _SAMPLED_FLAGS = _STATE_FLAGS | {"--grid", "--format", "--out"}
 _DECLARED = {

@@ -310,6 +310,31 @@ class TestContourExtraction:
         assert abs(zeros[0][0] + 0.3j) < 1e-12 and abs(zeros[1][0] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("n", [256, 1024])
+    def test_fallback_zeros_are_polished(self, n):
+        """A generic state's zeros come from the companion fallback; Newton
+        on the trimmed polynomial takes its split to rounding."""
+        rng = np.random.default_rng(3)
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coeffs *= 0.999 ** np.arange(n)
+        fac = factorize(raw_state(coeffs / np.linalg.norm(coeffs)))
+        assert fac.reconstruction_residual <= 5e-15
+
+    @pytest.mark.parametrize(
+        "newton",
+        [lambda poly, z: None, lambda poly, z: np.full_like(z, 0.9999)],
+        ids=["not-converged", "leaves-disk"],
+    )
+    def test_fallback_keeps_unpolished_roots(self, newton, monkeypatch):
+        """Newton failing, or taking a zero past r, leaves the companion
+        roots as they are (the contour solve fails the same way first)."""
+        poly = np.convolve([-0.5, 1.0], [0.3j, 1.0])
+        state = raw_state(np.conj(poly) / np.linalg.norm(poly))
+        monkeypatch.setattr(fz_module, "_newton", newton)
+        zeros = sorted(blaschke_zeros(state).zeros, key=lambda z: z[0].real)
+        assert [p for _, p in zeros] == [1, 1]
+        assert abs(zeros[0][0] + 0.3j) < 1e-12 and abs(zeros[1][0] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 1024])
     def test_catalog_zero_checks_at_large_truncation(self, n):
         """The catalog's zero-blaschke and zero-superposition checks at the
         CLI default and at library size, with the pinned tolerances."""

@@ -26,6 +26,7 @@ from diskphase import (
     midpoint_grid,
     number_distribution,
     phase_distribution,
+    raw_state,
     shift_covariance_check,
     superpose,
     wigner,
@@ -332,6 +333,14 @@ def _one_table_lattice(state, n_max, grid_size):
     return wigner_module._lattice(table, m)
 
 
+def _vacuum_plus(m, n):
+    return superpose([make_number(0, n), make_number(m, n)], [1, 1])
+
+
+# a raw state with leading zeros: support [2, 4] of N = 7
+_OFFSET_STATE = raw_state(np.array([0, 0, 0.8, 0.5j, 0.2, 0, 0]))
+
+
 def _traced_peak(call) -> int:
     """Bytes that `call` holds at its peak beyond what was live before it."""
     call()  # fill the per-grid caches first
@@ -345,7 +354,8 @@ def _traced_peak(call) -> int:
 
 
 class TestBlocks:
-    """Blocks of levels, each over its live harmonics, give the one-table bits."""
+    """Blocks of levels of the support [a, b], each over its live harmonics,
+    give the one-table bits; the rows outside the support are zeros."""
 
     @pytest.mark.parametrize(
         "state, n_max, grid_size",
@@ -353,7 +363,17 @@ class TestBlocks:
             (make_pi_superposition(0.7, 2.1, 512), None, None),
             (make_su11_cs(0.6 + 0.2j, 64), 80, None),  # past the truncation
             (make_bg(1.3j, 64), 40, 100),  # 2 n_max + 2 <= M < 4 n_max + 3
-            (superpose([make_number(0, 48), make_number(5, 48)], [1, 1]), 60, 150),
+            (_vacuum_plus(5, 48), 60, 150),
+        ]
+        + [(_vacuum_plus(m, n), None, None) for n in (256, 512) for m in range(1, 9)]
+        + [
+            (make_number(7, 64), None, None),
+            (make_bg(1.3, 512), None, None),  # u^n / n! is exactly 0 past n = 186
+            (_OFFSET_STATE, None, None),
+            (_OFFSET_STATE, 1, None),  # n_max below a
+            (make_number(40, 64), 10, None),  # n_max below a
+            (make_number(7, 64), 80, None),  # n_max past the truncation
+            (_OFFSET_STATE, 20, None),  # n_max past b and the truncation
         ],
     )
     @pytest.mark.parametrize("cells", [1, 5000, None])
@@ -391,11 +411,32 @@ class TestBlocks:
         out = wigner_grid(apply(w, state), grid_size=2048).values.nbytes
         assert _traced_peak(lambda: shift_covariance_check(state, w)) < out
 
-    def test_level_past_the_truncation_builds_one_column(self):
-        # a full-width row at n = 1e5 takes about 12 MB
-        state = make_su11_cs(0.6, 64)
-        assert _traced_peak(lambda: wigner(state, 10**5, 0.3)) < 64 * 1024
-        assert wigner(state, 10**5, 0.3) == 0.0
+    def test_lattice_transforms_only_the_support(self):
+        rows = []
+        real_lattice = wigner_module._lattice
+
+        def record(table, size):
+            rows.append(table.shape[0])
+            return real_lattice(table, size)
+
+        with mock.patch.object(wigner_module, "_lattice", record):
+            values = wigner_grid(_vacuum_plus(5, 512)).values
+        assert sum(rows) == 6  # levels 0..5
+        assert not np.any(values[6:])
+
+    @pytest.mark.parametrize(
+        "state, n",
+        [
+            # a full-width row at n = 1e5 takes about 12 MB
+            (make_su11_cs(0.6, 64), 10**5),
+            # rows of 2 min(n, N - 1 - n) + 1 harmonics, about 128 kB each
+            (make_number(4096, 8192), 4000),
+            (make_number(4096, 8192), 5000),
+        ],
+    )
+    def test_level_outside_the_support_builds_one_column(self, state, n):
+        assert _traced_peak(lambda: wigner(state, n, 0.3)) < 64 * 1024
+        assert wigner(state, n, 0.3) == 0.0
 
 
 class TestChebyshev:
