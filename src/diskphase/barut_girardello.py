@@ -19,20 +19,18 @@ identity can be tested against the exact series route.
 from __future__ import annotations
 
 import functools
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
 from .factorization import FactoredState
-from .series import series_eval
 from .states import FockState
 
 _GL_ORDER = 64
-_REPRESENTED = 171  # 1/n! is a normal double for n < 171, then underflows
-_LOG_TOL = math.log(1e-10)  # accuracy target of a truncated tail
+# numpy's laggauss keeps its log-moment error below 2.3e-12 up to 180 nodes
+# and returns NaN weights from 190 on
+_LAGUERRE_MAX = 180
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 # Trapezoid rule for K0(x) = int_0^inf e^{-x cosh t} dt (Trefethen & Weideman,
@@ -50,100 +48,50 @@ _EULER_GAMMA = 0.5772156649015329
 _I0K0_EXPANSION_FROM = 100.0
 
 
-def _inverse_factorials(count: int) -> np.ndarray:
-    """1/n! for n < count, correctly rounded; 0 once it underflows (n >= 178).
+def _factorial_series(coeffs: np.ndarray, u):
+    """sum_n coeffs[n] u^n / n! in the nested form f_0 + (u/1)(f_1 + (u/2)(f_2 + ...)).
 
-    int / int true division rounds correctly at any size of n!.
+    The sum stops at the last nonzero coefficient and never forms n! or
+    1/n!, so no term underflows. Each step multiplies by u and divides the
+    real and imaginary parts by n (one rounding each, unlike a complex
+    division); its rounding stays within a few eps * d * sum |f_n| |u|^n / n!.
     """
-    out = np.zeros(count)
-    factorial = 1
-    for n in range(count):
-        factorial *= max(n, 1)
-        out[n] = 1 / factorial
-        if out[n] == 0.0:
-            break
-    return out
+    u = np.asarray(u, dtype=complex)
+    d = int(np.flatnonzero(coeffs).max(initial=0))
+    c = coeffs[: d + 1].tolist() or [0j]
+    acc = np.full(u.size, c[d] + 0j, dtype=complex)  # + 0j: no -0.0 from conj
+    parts, x = acc.view(float), u.ravel()
+    for n in range(d, 0, -1):
+        acc *= x
+        parts /= n
+        acc += c[n - 1]
+    return acc.reshape(u.shape)[()]
 
 
 @dataclass(frozen=True, eq=False)
 class BGFunction:
-    """Point mass at u = 0 plus a smooth Taylor series in u."""
+    """Point mass at u = 0 plus the entire function sum_n coeffs[n] u^n / n!.
+
+    `coeffs` are the source coefficients themselves (conj(f_n) for a state),
+    not divided by n!.
+    """
 
     atom: complex
-    smooth: np.ndarray
-    radius_hint: float
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.smooth, dtype=complex)
+        arr = np.array(self.coeffs, dtype=complex)
         arr.setflags(write=False)
-        object.__setattr__(self, "smooth", arr)
+        object.__setattr__(self, "coeffs", arr)
 
     def __call__(self, u):
         """Evaluate the smooth part (the atom is a distribution, not a value)."""
-        u = np.asarray(u, dtype=complex)
-        if np.any(np.abs(u) > self.radius_hint):
-            warnings.warn(
-                "evaluation beyond the validated radius "
-                f"{self.radius_hint:.3g}; truncation error may exceed 1e-10",
-                stacklevel=2,
-            )
-        return series_eval(self.smooth, u)
-
-
-def _tail_model(smooth: np.ndarray) -> tuple[float, int, float]:
-    """(log|f_d|, d, log rho) of the geometric tail f_{d+k} ~ f_d rho^k.
-
-    d is the last n < 171 where g_n = f_n / n! is a normal double (a
-    subnormal has too few bits); rho is the mean rate since the last such
-    n <= d/2, which averages out the zeros of a parity state and the beats
-    of a superposition. Without two such terms rho is infinite.
-    """
-    c = np.abs(np.asarray(smooth))[:_REPRESENTED]
-    n = np.flatnonzero(c >= np.finfo(float).tiny)
-    if n.size < 2:
-        return 0.0, 0, math.inf
-    m, d = int(np.max(n[n <= n[-1] // 2], initial=n[0])), int(n[-1])
-    log_fm, log_fd = (math.log(c[k]) + math.lgamma(k + 1.0) for k in (m, d))
-    return log_fd, d, (log_fd - log_fm) / (d - m)
-
-
-def _log_tail(log_a: float, d: int, log_ratio: float, r):
-    """log of sum_{k>=1} a r^d q^k = a r^d q/(1-q), q = ratio r; inf once q >= 1."""
-    log_q = log_ratio + np.log(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_sum = log_a + d * np.log(r) + log_q - np.log(-np.expm1(log_q))
-    return np.where(log_q < 0.0, log_sum, np.inf)
-
-
-def _validated_radius(smooth: np.ndarray, source: np.ndarray) -> float:
-    """Largest |u| (capped at 1e6) where the dropped tail stays below 1e-10.
-
-    Past the tail model's d, g_{d+k} = f_{d+k} / (d+k)! <= g_d (rho/(d+1))^k.
-    A source with a zero tail past the last term smooth = source_n / n!
-    (n < 171) represents is an exact polynomial, which validates up to the
-    cap. A source that 1/n! zeroes altogether, such as |m> with m >= 171,
-    has no represented term and is not one.
-    """
-    last = np.flatnonzero(np.asarray(smooth)[:_REPRESENTED]).max(initial=0)
-    if (last == 0 or last < source.size - 1) and not source[last + 1 :].any():
-        return 1e6  # exact polynomial: no truncated tail
-    log_f, d, log_rho = _tail_model(smooth)
-    log_g, log_ratio = log_f - math.lgamma(d + 1.0), log_rho - math.log(d + 1)
-    t = 1.0
-    while t < 1e6 and _log_tail(log_g, d, log_ratio, t) <= _LOG_TOL:
-        t *= 1.25
-    return t / 1.25
-
-
-def _smooth_part(atom: complex, source: np.ndarray) -> BGFunction:
-    """The point mass `atom` plus the series g_n = source_n / n!."""
-    smooth = source * _inverse_factorials(source.size)
-    return BGFunction(atom, smooth, _validated_radius(smooth, source))
+        return _factorial_series(self.coeffs, u)
 
 
 def bg_function(state: FockState) -> BGFunction:
-    """Representation of a plain state: no atom, g_n = conj(f_n)/n!."""
-    return _smooth_part(0.0, np.conj(state.coeffs))
+    """Representation of a plain state: no atom, coefficients conj(f_n)."""
+    return BGFunction(0.0, np.conj(state.coeffs))
 
 
 def _segment_quadrature(b, panels: int):
@@ -166,30 +114,34 @@ def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 def laplace_to_disk(bgf: BGFunction, z):
     """(1/z) int_0^inf U(u) e^{-u/z} du by Gauss-Laguerre on the ray u = t z.
 
-    Valid for Re z > 0. U is a polynomial of degree d <= 177 (1/n! underflows
-    past that), so by Cauchy's theorem the integral is int_0^inf U(t z) e^{-t}
-    dt, which floor(d/2) + 1 Gauss-Laguerre nodes integrate exactly; every
-    point of an array shares them. On the ray sum_k w_k |U(t_k z)| <=
-    sum_n |f_n| |z|^n, the series' own condition number, bounds the rounding.
-    Terms of a long source that 1/n! dropped are estimated from the geometric
-    tail model, and a point where they may exceed 1e-10 is refused as
-    ill-conditioned.
+    Valid for Re z > 0, |z| < 1. The trailing terms n > d whose mass
+    sum |f_n| r^n, r = max|z|, is at most eps times the whole sum are
+    dropped; the tail-to-head ratio grows with r, so that bound holds at
+    every point of an array. By Cauchy's theorem the integral is
+    int_0^inf U(t z) e^{-t} dt, which floor(d/2) + 1 Gauss-Laguerre nodes
+    integrate exactly; every point shares them. On the ray
+    sum_k w_k |U(t_k z)| <= sum_n |f_n| |z|^n, the series' own condition
+    number, bounds the rounding. A series that needs more nodes than
+    numpy's rule supplies accurately (180) is refused as ill-conditioned.
     """
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0.0).any():
         raise DomainError("the transform integral needs Re z > 0")
     if (abs(z) >= 1.0).any():
         raise DomainError("|z| must be < 1")
-    smooth = bgf.smooth
-    if smooth.size > _REPRESENTED and bgf.radius_hint < 1e6:
-        if (_log_tail(*_tail_model(smooth), abs(z)) > _LOG_TOL).any():
-            raise IllConditionedError(
-                "terms of the series lost to the underflow of 1/n! may exceed "
-                "1e-10 at this z"
-            )
-    degree = np.flatnonzero(smooth).max(initial=0)
-    t, w = _laguerre_rule(degree // 2 + 1)
-    return series_eval(smooth[: degree + 1], z[..., None] * t) @ w + 0.5 * bgf.atom / z
+    coeffs = bgf.coeffs
+    mass = np.abs(coeffs) * abs(z).max(initial=0.0) ** np.arange(coeffs.size)
+    tail = np.cumsum(mass[::-1])[::-1]  # tail[n] = sum_{k >= n} mass[k]
+    bound = np.finfo(float).eps * tail[:1].sum()
+    degree = max(int(np.count_nonzero(tail > bound)) - 1, 0)
+    nodes = degree // 2 + 1
+    if nodes > _LAGUERRE_MAX:
+        raise IllConditionedError(
+            f"the series needs {nodes} Gauss-Laguerre nodes at this z; "
+            f"at most {_LAGUERRE_MAX} are accurate"
+        )
+    t, w = _laguerre_rule(nodes)
+    return _factorial_series(coeffs[: degree + 1], z[..., None] * t) @ w + 0.5 * bgf.atom / z
 
 
 def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
@@ -201,8 +153,8 @@ def bg_factor_parts(fac: FactoredState) -> tuple[BGFunction, BGFunction]:
     becomes the atom 2 b_0 and b_{n} lands on u^{n-1} / (n-1)!.
     """
     return (
-        _smooth_part(0.0, fac.inner_coeffs),
-        _smooth_part(2.0 * complex(fac.outer_coeffs[0]), fac.outer_coeffs[1:]),
+        BGFunction(0.0, fac.inner_coeffs),
+        BGFunction(2.0 * complex(fac.outer_coeffs[0]), fac.outer_coeffs[1:]),
     )
 
 
@@ -246,16 +198,11 @@ def bg_shifted_from_outer(u_out: BGFunction, m: int, u):
 
     `bg_convolve` of the transformed inner monomial u^m/m! with U_out, that
     is (1/m!) int_0^u (u-x)^m U_out(x) dx with the atom at x = 0 entering
-    with half weight; u is a point or an array of points. m >= 171, where
-    1/m! is no longer a normal double, is refused.
+    with half weight; u is a point or an array of points.
     """
     if m < 0:
         raise DomainError("shift must be non-negative")
-    if m >= _REPRESENTED:
-        raise DomainError(f"1/{m}! of the monomial u^{m}/{m}! is not a normal double")
-    monomial = np.zeros(m + 1)
-    monomial[m] = 1 / math.factorial(m)
-    return bg_convolve(BGFunction(0.0, monomial, 1e6), u_out, u)
+    return bg_convolve(BGFunction(0.0, np.eye(1, m + 1, m)[0]), u_out, u)
 
 
 def _k0(x) -> np.ndarray:

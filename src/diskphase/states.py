@@ -195,9 +195,12 @@ def raw_state(coeffs: np.ndarray) -> FockState:
 def superpose(states: list[FockState], amplitudes: list[complex]) -> FockState:
     """Coefficientwise linear combination, renormalised to unit norm.
 
-    Non-finite amplitudes are a SpecError. When the plain sum or its norm
-    overflows, the amplitudes are scaled down by an exact power of two
-    first, which the renormalisation undoes.
+    Non-finite amplitudes are a SpecError. When the norm of the plain sum
+    is not a normal positive double (it overflows, or the amplitudes are
+    subnormal), the sum is taken again with the amplitudes scaled by an
+    exact power of two, which the renormalisation undoes. The combination
+    is degenerate when its norm is at most 1e-12 of sum |a_i| |f_i|, so
+    the decision does not depend on the amplitudes' overall size.
     """
     if not states or len(states) != len(amplitudes):
         raise SpecError("need equally many states and amplitudes")
@@ -212,15 +215,16 @@ def superpose(states: list[FockState], amplitudes: list[complex]) -> FockState:
             combo[: s.truncation] += a * s.coeffs
         return combo, float(np.linalg.norm(combo))
 
+    # 2^e times the largest real or imaginary part lies in [1/2, 1)
+    e = -math.frexp(max(max(abs(a.real), abs(a.imag)) for a in amplitudes))[1]
+    scaled = [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amplitudes]
     with np.errstate(over="ignore", invalid="ignore"):
         combo, nrm = combination(amplitudes)
-    if not math.isfinite(nrm):
-        largest = max(max(abs(a.real), abs(a.imag)) for a in amplitudes)
-        e = -math.frexp(largest)[1]
-        combo, nrm = combination(
-            [complex(math.ldexp(a.real, e), math.ldexp(a.imag, e)) for a in amplitudes]
-        )
-    if nrm <= 1e-12:
+    if not np.finfo(float).tiny <= nrm < math.inf:
+        combo, nrm = combination(scaled)
+        e = 0
+    reference = sum(abs(a) * np.linalg.norm(s.coeffs) for s, a in zip(states, scaled))
+    if math.ldexp(nrm, e) <= 1e-12 * reference:
         raise DegenerateSuperpositionError("superposition has (near) zero norm")
     return FockState(combo / nrm, 0.0)
 

@@ -304,18 +304,16 @@ def check_bg_bridge() -> tuple[float, ...]:
         us = rng.uniform(0.2, 2.0, size=10) * np.exp(
             1j * rng.uniform(-np.pi, np.pi, size=10)
         )
-        err = bg.bg_convolve(u_in, u_out, us) - series_eval(u_fn.smooth, us)
+        err = bg.bg_convolve(u_in, u_out, us) - u_fn(us)
         worst_conv = max(worst_conv, float(np.max(np.abs(err))))
     worst_atom = 0.0
     for m, (_, fac, _) in enumerate(catalog[:9]):  # number[0..8]
         u_in, u_out = bg.bg_factor_parts(fac)
-        expected = np.zeros(64, dtype=complex)
-        expected[m] = 1.0 / math.factorial(m)
         worst_atom = max(
             worst_atom,
             abs(u_out.atom - 2.0),
-            float(np.max(np.abs(u_in.smooth - expected))),
-            float(np.max(np.abs(u_out.smooth))),
+            float(np.max(np.abs(u_in.coeffs - np.eye(64)[m]))),
+            float(np.max(np.abs(u_out.coeffs))),
         )
     return worst_round, worst_conv, worst_atom, _identity_resolution_residual(6)
 

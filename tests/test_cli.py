@@ -481,24 +481,26 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["ray"]["t"] == []
 
-    def test_bg_of_a_number_state_past_the_factorials_warns(self, capsys):
-        # 1/n! zeroes every term of |200>, which is no exact polynomial:
-        # U(200) = 200^200/200! ~ 2e85 is beyond the radius, not 0
-        with pytest.warns(UserWarning, match="beyond the validated radius"):
-            code, _, _ = run(
-                capsys, "bg", "--n", "256", "--tmax", "200", "--points", "3",
-                "--json", '{"kind":"number","m":200}',
-            )
-        assert code == EXIT_OK
+    @pytest.mark.filterwarnings("error")
+    def test_bg_of_a_number_state_past_170(self, capsys):
+        # U(u) = u^200/200!: 0, 1.3e25 and 2.04e85 on t = 0, 100, 200
+        code, out, err = run(
+            capsys, "bg", "--n", "256", "--tmax", "200", "--points", "3",
+            "--json", '{"kind":"number","m":200}',
+        )
+        assert code == EXIT_OK and err == ""
+        values = json.loads(out)["ray"]["values"]
+        for t, (re, im) in zip((0, 100, 200), values):
+            assert im == 0
+            assert re == pytest.approx(t**200 / math.factorial(200), rel=1e-13, abs=0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_bg_overflow_on_the_ray_exits_numeric(self, capsys):
         # u^3 overflows at |u| = 1e300: exit 3 rather than NaN in the JSON
-        with pytest.warns(UserWarning, match="beyond the validated radius"):
-            code, out, err = run(
-                capsys, "bg", "--json", '{"kind":"number","m":3}', "--n", "8",
-                "--tmax=1e300", "--points", "3",
-            )
+        code, out, err = run(
+            capsys, "bg", "--json", '{"kind":"number","m":3}', "--n", "8",
+            "--tmax=1e300", "--points", "3",
+        )
         assert code == EXIT_NUMERIC and out == ""
         assert "overflows" in err and "Traceback" not in err
 
@@ -578,6 +580,30 @@ class TestExitCodes:
         for command in ("state", "wigner", "factor"):
             code, out, err = run(capsys, command, "--json", spec, "--n", "8")
             assert code == EXIT_OK and err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "components, amplitudes, expected",
+        [
+            ('{"kind":"number","m":1}', "[1e-13]", EXIT_OK),
+            ('{"kind":"number","m":1},{"kind":"number","m":2}', "[1e-320,1e-320]", EXIT_OK),
+            ('{"kind":"number","m":1},{"kind":"number","m":1}', "[1e-320,-1e-320]",
+             EXIT_NUMERIC),
+            ('{"kind":"su11_cs","z":0.5},{"kind":"su11_cs","z":0.5}', "[1e-13,-1e-13]",
+             EXIT_NUMERIC),
+        ],
+    )
+    def test_superposition_degeneracy_is_relative(
+        self, capsys, components, amplitudes, expected
+    ):
+        # small amplitudes alone do not make a state degenerate; cancellation does
+        spec = '{"kind":"superpose","components":[%s],"amplitudes":%s}' % (
+            components, amplitudes
+        )
+        code, out, err = run(capsys, "state", "--json", spec, "--n", "4")
+        assert code == expected
+        assert (out == "") == (expected != EXIT_OK)
+        assert ("zero norm" in err) == (expected != EXIT_OK)
 
 
 _STATE_FLAGS = {"--n", "--spec", "--json", "--weyl"}
@@ -841,10 +867,42 @@ _FUZZ_SPECS = _PLAIN_SPECS | st.builds(
     st.lists(_PLAIN_SPECS, min_size=1, max_size=3),
     st.lists(_PAIRS, min_size=1, max_size=3),
 )
+_NESTED_SPECS = _FUZZ_SPECS | st.builds(
+    lambda parts, amps: {"kind": "superpose", "components": parts, "amplitudes": amps},
+    st.lists(_FUZZ_SPECS, min_size=1, max_size=2),
+    st.lists(_PAIRS, min_size=1, max_size=2),
+)
+# a JSON value of the wrong type for every spec field
+_WRONG_VALUES = st.sampled_from(
+    ["x", "", True, False, None, {}, {"re": 0.5}, [[[0.5]]], [[0.5, 0.5], [[0.5]]],
+     10**400, -(10**400)]
+)
 
 
-def _fuzz_main(argv):
-    """Run main(argv) and check its exit, its output and its warnings."""
+def _field_paths(spec, path=()):
+    """Key paths of every field of a spec, into superpose components too."""
+    for key, value in spec.items():
+        yield path + (key,)
+        if key == "components":
+            for i, part in enumerate(value):
+                yield from _field_paths(part, path + (key, i))
+
+
+@st.composite
+def _mistyped_specs(draw):
+    """A spec with one field anywhere replaced by a wrongly typed value."""
+    spec = draw(_NESTED_SPECS)
+    *parents, key = draw(st.sampled_from(list(_field_paths(spec))))
+    target = spec
+    for step in parents:
+        target = target[step]
+    target[key] = draw(_WRONG_VALUES)
+    return spec
+
+
+def _fuzz_main(argv) -> int:
+    """Run main(argv), check its exit, its output and its warnings, and
+    return the exit code. Success means no warning at all."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
@@ -855,13 +913,10 @@ def _fuzz_main(argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     if code != EXIT_OK:
         assert out.getvalue() == ""
-        return
+        return code
     json.loads(out.getvalue(), parse_constant=_no_constant)
-    assert err.getvalue() == ""
-    # the one documented warning on success: bg evaluating past the radius
-    for w in caught:
-        assert argv[0] == "bg" and w.category is UserWarning, w
-        assert "beyond the validated radius" in str(w.message)
+    assert err.getvalue() == "" and not caught, caught
+    return code
 
 
 class TestFuzz:
@@ -910,3 +965,13 @@ class TestFuzz:
         if command == "bg" and points is not None:
             argv += ["--points", str(points)]
         _fuzz_main(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["state", "factor", "bg", "wigner", "phase-dist"]),
+        _mistyped_specs(),
+        st.integers(1, 32),
+    )
+    def test_wrongly_typed_field_anywhere(self, command, spec, n):
+        argv = [command, "--json", json.dumps(spec), "--n", str(n)]
+        assert _fuzz_main(argv) in (EXIT_SPEC, EXIT_NUMERIC)

@@ -182,6 +182,31 @@ class TestSuperpose:
         with pytest.raises(DegenerateSuperpositionError):
             superpose([s, s], [1.0, -1.0])
 
+    @pytest.mark.parametrize("a", [1e-13, 1e-300, 1e-320, 5e-324, 1e300])
+    def test_uniformly_scaled_amplitudes_are_not_degenerate(self, a):
+        # degeneracy is relative to sum |a_i| |f_i|; a subnormal norm is
+        # rescaled by a power of two like an overflowing one
+        parts = [make_number(0, 6), make_number(3, 6)]
+        expected = superpose(parts, [1.0, 1.0]).coeffs
+        got = superpose(parts, [a, a]).coeffs
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+        got = superpose(parts[1:], [a]).coeffs
+        np.testing.assert_allclose(got, np.eye(6)[3], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("a", [1e-320, 1e-13, 1.0, 1e300])
+    @pytest.mark.parametrize("rel", [0.0, 1e-14])
+    def test_relative_cancellation_is_degenerate(self, a, rel):
+        s = make_su11_cs(0.5, 8)
+        with pytest.raises(DegenerateSuperpositionError):
+            superpose([s, s], [a, -a * (1.0 + rel)])
+
+    def test_ordinary_amplitudes_keep_their_bits(self):
+        parts = [make_su11_cs(0.5, 8), make_number(3, 8)]
+        combo = 0.3 * parts[0].coeffs + 0.7j * parts[1].coeffs
+        np.testing.assert_array_equal(
+            superpose(parts, [0.3, 0.7j]).coeffs, combo / np.linalg.norm(combo)
+        )
+
 
 class TestNumberDistribution:
     def test_number_state(self):
