@@ -26,7 +26,6 @@ from . import weyl as weyl_mod
 from .disk import boundary, default_grid_size
 from .errors import AliasingError, DiskPhaseError, IllConditionedError, SpecError
 from .factorization import (
-    DEFAULT_EDGE_MARGIN,
     DEFAULT_OUTER_TOL,
     complex_pairs,
     factorization_report,
@@ -236,8 +235,6 @@ def _check_args(args) -> None:
             )
     if "outer_tol" in args and not 0 < args.outer_tol < math.inf:
         raise SpecError(f"outer tolerance {args.outer_tol} must be finite and positive")
-    if "edge_margin" in args and not 0 < args.edge_margin < 1:
-        raise SpecError(f"edge margin {args.edge_margin} must lie in (0, 1)")
     if args.command == "bg":
         if args.points < 0:
             raise SpecError(f"--points {args.points} must be >= 0")
@@ -310,7 +307,7 @@ def cmd_state(args) -> int:
 
 def cmd_factor(args) -> int:
     state, m = _sampled(args)
-    fac = factorize(state, grid_size=m, edge_margin=args.edge_margin)
+    fac = factorize(state, grid_size=m)
     report = factorization_report(fac)
     report["outer"] = fac.outer_defect < args.outer_tol
     _emit(_json_text(report), args.out)
@@ -439,7 +436,6 @@ _OPTIONS = {
     "--grid": dict(type=int, default=None,
                    help="boundary grid size (power of two, >= 2N)"),
     "--outer-tol": dict(type=float, default=DEFAULT_OUTER_TOL),
-    "--edge-margin": dict(type=float, default=DEFAULT_EDGE_MARGIN),
     "--spec": dict(type=Path, default=None, help="path to a JSON state spec"),
     "--json": dict(type=str, default=None, help="inline JSON state spec"),
     "--weyl": dict(type=str, default=None,
@@ -461,7 +457,7 @@ _SUBCOMMANDS = {
     "state": ("dump coefficients and statistics", cmd_state,
               (*_STATE, "--format", "--out")),
     "factor": ("inner/outer factorisation report (JSON)", cmd_factor,
-               (*_STATE, "--grid", "--outer-tol", "--edge-margin", "--out")),
+               (*_STATE, "--grid", "--outer-tol", "--out")),
     "phase-dist": ("boundary function and phase density", cmd_phase_dist, _SAMPLED),
     "wigner": ("joint number-phase lattice", cmd_wigner, (*_SAMPLED, "--n-max")),
     "bg": ("transformed function along a ray", cmd_bg,

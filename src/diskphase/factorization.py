@@ -14,31 +14,31 @@ fold-back onto the first N coefficients then stays below eps, and zeros
 nearer the circle into the series product `blaschke_product`. Both series
 are rotated so that outer[0] > 0. Jensen's formula gives the outer defect
 as the sum of ln(1/|gamma|) over the zeros of B.
-B takes the zeros inside |z| < 1 - edge_margin only. Roots in the edge band
-1 - edge_margin <= |z| < 1 are not told apart from truncation artefacts, so
-they stay in the outer series, are listed in `near_edge` and are left out of
-the outer defect; the singular defect, the Jensen gap left after the zeros
-of B, counts them to the grid's quadrature accuracy.
-A zero closer to the circle than its rounding radius is refused: the
-coefficients do not decide on which side of the circle it lies.
+Each root decides its own side of the circle: with r its rounding radius
+(`_rounding_radii`), it is inside when 1 - |gamma| > c r, outside when
+|gamma| - 1 > c r, and on the circle otherwise (c = _SIDE_FACTOR). B takes
+the roots inside. A root on the circle stays in the outer series and is
+listed in `near_edge` when c r <= DEFAULT_OUTER_TOL; a larger c r is
+refused, since the coefficients then do not decide on which side of the
+circle it lies.
 
-The disk zeros are the roots of the coefficient polynomial inside
-|z| < r = 1 - edge_margin.
 After the tail of l1 mass <= eps * max|f| is dropped, the argument
-principle counts the zeros inside |z| = 1 and |z| = r (both circles in one
-FFT), the contour power sums on |z| = r, which are the first 2k Fourier
-coefficients of the log-derivative samples and so one FFT, give a k x k
-Hankel pencil for the k zeros, and Newton polishes them on the polynomial.
+principle counts the zeros inside |z| = 1 and |z| = rho (both circles in
+one FFT), the contour power sums on |z| = rho, which are the first 2k
+Fourier coefficients of the log-derivative samples and so one FFT, give a
+k x k Hankel pencil for the k zeros, and Newton polishes them on the
+polynomial. The radius rho = 1 - 1e-3 only certifies that solve.
 Companion-matrix eigenvalues of the trimmed polynomial are the fallback
 whenever that result is not certified: a non-integer count, differing
-counts (a root in the edge annulus), k > 32, Newton failing, a zero leaving
-|z| < r or two zeros coinciding. The simple fallback zeros inside |z| < r
-are Newton-polished on the polynomial in turn.
+counts (a root near the circle), k > 32, Newton failing, a zero leaving
+|z| < rho or two zeros coinciding. The simple fallback roots no more than
+DEFAULT_OUTER_TOL outside the circle are Newton-polished on the polynomial
+before their side is decided; the roots farther out are outside.
 
 The cepstral route stays available beside `factorize`, which uses none of
 it: `compute_phi` and `refined_phi` take the log-spectrum (the analytic
 completion of ln|boundary|), `outer_part` exponentiates it, `inner_part`
-divides by the result, and `outer_defect` and `is_outer` read its mean.
+divides by the result, and `outer_defect` reads its mean.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .errors import DomainError, IllConditionedError, SpecError
 from .series import series_div, series_mul
 from .states import FockState
 
-DEFAULT_EDGE_MARGIN = 1e-3
 DEFAULT_OUTER_TOL = 1e-6
 DEFAULT_SINGULAR_TOL = 1e-2
 _CLUSTER_RADIUS = 1e-7
@@ -68,8 +67,13 @@ _CLUSTER_RADIUS = 1e-7
 # monomial factor rather than a tiny Blaschke zero
 _MONOMIAL_EPS = 1e-14
 _EPS = float(np.finfo(float).eps)
+# a root more than this many rounding radii from the unit circle is on
+# the side it was computed on: the coefficients' rounding and the dropped
+# tail (<= eps max|f|) can each move a root near the circle by one radius
+_SIDE_FACTOR = 2.0
 # certificate of the contour zero solve; failing any part falls back to
 # companion-matrix eigenvalues
+_CONTOUR_RADIUS = 1.0 - 1e-3
 _COUNT_TOL = 1e-6
 _MAX_CONTOUR_ZEROS = 32
 _MIN_CONTOUR_GRID = 1024
@@ -161,7 +165,11 @@ def outer_defect(state: FockState, grid_size: int | None = None) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DiskZeros:
-    """Clustered polynomial roots inside the disk, plus unreliable edge roots."""
+    """Clustered polynomial roots inside the unit circle, and the roots on it.
+
+    `near_edge` lists the roots within _SIDE_FACTOR rounding radii of the
+    circle, a p-fold one p times.
+    """
 
     zeros: tuple[tuple[complex, int], ...]
     near_edge: tuple[complex, ...]
@@ -256,17 +264,18 @@ def _power_sums(log_derivative: np.ndarray, radius: float, count: int) -> np.nda
     return radius ** np.arange(count) * np.conj(coefficients)
 
 
-def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
-    """The zeros of sum poly[n] z^n inside |z| < radius, or None when unsure.
+def _contour_zeros(poly: np.ndarray) -> np.ndarray | None:
+    """The zeros of sum poly[n] z^n inside |z| < 1, or None when unsure.
 
-    Counts the zeros inside |z| = 1 and |z| = radius by the argument
-    principle, takes the power sums s_j = mean(z^j z Z'/Z) on |z| = radius
-    and solves the k x k Hankel pencil (H1 - lambda H0) for the k zeros
+    Counts the zeros inside |z| = 1 and |z| = rho = _CONTOUR_RADIUS by the
+    argument principle, takes the power sums s_j = mean(z^j z Z'/Z) on
+    |z| = rho and solves the k x k Hankel pencil (H1 - lambda H0) for the k zeros
     (Delves & Lyness 1967; Kravanja & Van Barel 2000), then Newton-polishes
     them on the polynomial. None means the certificate failed: a count is
     not an integer, a zero lies between the circles, k is large, Newton
-    does not converge, a zero leaves |z| < radius, or two zeros coincide.
+    does not converge, a zero leaves |z| < rho, or two zeros coincide.
     """
+    radius = _CONTOUR_RADIUS
     grid = max(default_grid_size(poly.size), _MIN_CONTOUR_GRID)
     with np.errstate(all="ignore"):
         outer_count, count, log_derivative = _winding(poly, radius, grid)
@@ -288,29 +297,31 @@ def _contour_zeros(poly: np.ndarray, radius: float) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     roots = _newton(poly, seeds)
-    if roots is None or np.any(np.abs(roots) >= radius):
-        return None
-    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(k)
-    if np.any(gaps <= _CLUSTER_RADIUS):
+    if roots is None or np.any(np.abs(roots) >= radius) or not _distinct(roots):
         return None
     return roots
 
 
+def _distinct(roots: np.ndarray) -> bool:
+    """No two of `roots` within _CLUSTER_RADIUS of each other."""
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(roots.size)
+    return not np.any(gaps <= _CLUSTER_RADIUS)
+
+
 def _polished(
-    poly: np.ndarray, zeros: list[tuple[complex, int]], radius: float
+    poly: np.ndarray, zeros: list[tuple[complex, int]]
 ) -> list[tuple[complex, int]]:
     """Clustered `zeros` with the simple ones Newton-polished on `poly`.
 
     Newton is only linear at a multiple zero, where the cluster mean is
     the better estimate, so those keep their mean. Every zero stays as it
-    is when none is simple, Newton fails, or a polished zero leaves
-    |z| < radius.
+    is when none is simple, Newton fails, or two polished zeros coincide.
     """
     simple = [i for i, (_, mult) in enumerate(zeros) if mult == 1]
     if not simple:
         return zeros
     polished = _newton(poly, np.array([zeros[i][0] for i in simple]))
-    if polished is None or np.any(np.abs(polished) >= radius):
+    if polished is None or not _distinct(polished):
         return zeros
     out = list(zeros)
     for i, gamma in zip(simple, polished):
@@ -326,22 +337,20 @@ def _rescaled(poly: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     return poly, math.ldexp(scale, -exponent)
 
 
-def blaschke_zeros(
-    state: FockState, edge_margin: float = DEFAULT_EDGE_MARGIN
-) -> DiskZeros:
-    """Roots of the coefficient polynomial inside |z| < 1 - edge_margin.
+def blaschke_zeros(state: FockState) -> DiskZeros:
+    """Roots of the coefficient polynomial inside the unit circle, and on it.
 
     Exact leading zero coefficients are reported as a root at the origin
-    (the monomial factor). Roots in the annulus 1 - edge_margin <= |z| < 1
-    are listed separately: at that distance they cannot be told apart from
-    truncation artifacts. The tail of l1 mass <= eps * max|f| is dropped
-    first; the disk zeros come from `_contour_zeros` when its certificate
-    holds and from the companion-matrix eigenvalues of the trimmed
-    polynomial otherwise, the simple ones Newton-polished (`_polished`).
-    `edge_margin` must lie in (0, 1) (DomainError).
+    (the monomial factor). The tail of l1 mass <= eps * max|f| is dropped
+    first; the roots come from `_contour_zeros` when its certificate holds
+    and from the companion-matrix eigenvalues of the trimmed polynomial
+    otherwise, the simple ones no more than DEFAULT_OUTER_TOL outside the
+    circle Newton-polished (`_polished`). A root gamma with rounding radius
+    r (`_rounding_radii`) is inside when 1 - |gamma| > c r and outside when
+    |gamma| - 1 > c r (c = _SIDE_FACTOR). Otherwise it is on the circle:
+    listed in `near_edge` when c r <= DEFAULT_OUTER_TOL, and refused with
+    IllConditionedError when c r is larger.
     """
-    if not 0.0 < edge_margin < 1.0:
-        raise DomainError(f"edge_margin {edge_margin} must lie in (0, 1)")
     poly = np.conj(state.coeffs)
     scale = float(np.max(np.abs(poly)))
     if scale == 0.0:
@@ -353,24 +362,33 @@ def blaschke_zeros(
     while abs(poly[lead]) <= _MONOMIAL_EPS * scale:
         lead += 1
     trimmed = _trim_tail(poly[lead:], scale)
-    radius = 1.0 - edge_margin
-    roots = _contour_zeros(trimmed, radius)
-    fallback = roots is None
-    if fallback:
+    roots = _contour_zeros(trimmed)
+    if roots is None:
         try:
             roots = np.roots(trimmed[::-1])
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"companion-matrix root solve failed: {exc}"
             ) from exc
-    inside = roots[np.abs(roots) < radius]
-    edge = roots[(np.abs(roots) >= radius) & (np.abs(roots) < 1.0)]
-    zeros = _cluster(inside)
-    if fallback:
-        zeros = _polished(trimmed, zeros, radius)
+        roots = roots[np.abs(roots) <= 1.0 + DEFAULT_OUTER_TOL]
+        zeros = _polished(trimmed, _cluster(roots))
+    else:
+        zeros = _cluster(roots)
+    inside, edge = [], []
+    for (g, p), r in zip(zeros, _SIDE_FACTOR * _rounding_radii(trimmed, zeros)):
+        gap = 1.0 - abs(g)
+        if abs(gap) <= r and r > DEFAULT_OUTER_TOL:
+            raise IllConditionedError(
+                f"zero {g:.6g} is {gap:.2g} from the unit circle, within "
+                f"{_SIDE_FACTOR:g} times its rounding radius {r / _SIDE_FACTOR:.2g}"
+            )
+        if gap > r:
+            inside.append((g, p))
+        elif abs(gap) <= r:
+            edge += [g] * p
     if lead:
-        zeros.insert(0, (0.0 + 0.0j, lead))
-    return DiskZeros(tuple(zeros), tuple(complex(w) for w in edge))
+        inside.insert(0, (0.0 + 0.0j, lead))
+    return DiskZeros(tuple(inside), tuple(edge))
 
 
 def blaschke_factor(gamma: complex, length: int) -> np.ndarray:
@@ -410,13 +428,14 @@ class FactoredState:
     `zeros` lists the clustered disk zeros with nonzero modulus;
     `monomial_degree` is the multiplicity of the zero at the origin, kept
     apart because the normalised factor degenerates there. The inner series
-    is z^m times the Blaschke product of `zeros`; the roots in `near_edge`
-    stay in the outer series. `outer_defect` is the sum of ln(1/|gamma|)
-    over `zeros`, +inf with a monomial. `singular_defect` is the mean of
-    ln|boundary| (Richardson-extrapolated from grids M and 2M) less ln|f_m|
-    (f_m the first nonzero coefficient) and the sum over `zeros`: for a
-    finite state it measures the `near_edge` roots, zeros left out of
-    `zeros` and quadrature error, and a value above the threshold flags a
+    is z^m times the Blaschke product of `zeros`; the roots in `near_edge`,
+    on the unit circle to within c r <= DEFAULT_OUTER_TOL (see
+    `blaschke_zeros`), stay in the outer series. `outer_defect` is the sum
+    of ln(1/|gamma|) over `zeros`, +inf with a monomial. `singular_defect`
+    is the mean of ln|boundary| (Richardson-extrapolated from grids M and
+    2M) less ln|f_m| (f_m the first nonzero coefficient) and the sum over
+    `zeros`: for a finite state it measures quadrature error and at most
+    c r per `near_edge` root, and a value above the threshold flags a
     suspected zero-free (singular) inner factor. `inner_boundary_deviation`
     is max ||inner| - 1| on the grid 2M.
     """
@@ -446,11 +465,11 @@ def _rounding_radii(poly: np.ndarray, zeros) -> np.ndarray:
 
     A zero gamma of multiplicity p moves by up to
     (eps sum_n |f_n| |gamma|^n / |Z^(p)(gamma) / p!|)^(1/p) (Mosier 1986 for
-    p = 1). The radius is scale-free, so the coefficients are rescaled
-    first (`_rescaled`). The powers gamma^n (`_powers`) are tabled a block
-    of zeros at a time.
+    p = 1), and rounding gamma itself moves it by eps |gamma| more. `poly`
+    comes rescaled (`_rescaled`), so the sums neither underflow nor
+    overflow. The powers gamma^n (`_powers`) are tabled a block of zeros at
+    a time.
     """
-    poly = _rescaled(poly, float(np.max(np.abs(poly))))[0]
     gammas = np.array([g for g, _ in zeros], dtype=complex)
     mults = np.array([p for _, p in zeros])
     size = np.empty(gammas.size)
@@ -472,7 +491,7 @@ def _rounding_radii(poly: np.ndarray, zeros) -> np.ndarray:
             rows_p = mults[block] == p
             lead[block][rows_p] = powers[rows_p, : poly.size - p] @ coeffs
     with np.errstate(divide="ignore"):
-        return (_EPS * size / np.abs(lead)) ** (1.0 / mults)
+        return (_EPS * size / np.abs(lead)) ** (1.0 / mults) + _EPS * np.abs(gammas)
 
 
 def _blaschke_values(zeros, points: np.ndarray) -> np.ndarray:
@@ -486,35 +505,23 @@ def _blaschke_values(zeros, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def factorize(
-    state: FockState,
-    grid_size: int | None = None,
-    edge_margin: float = DEFAULT_EDGE_MARGIN,
-) -> FactoredState:
+def factorize(state: FockState, grid_size: int | None = None) -> FactoredState:
     """Full pipeline: zeros -> B on the boundary grid -> outer Z / B, inner B
     -> diagnostics.
 
-    B is built from the zeros inside |z| < 1 - edge_margin; roots in the
-    edge band stay in the outer series (see `FactoredState`).
-
-    Raises IllConditionedError when a zero of the split lies within its
-    rounding radius (`_rounding_radii`) of the unit circle: which side of
-    the circle it is on is then not decided by the coefficients.
+    B is built from the roots that `blaschke_zeros` decides are inside the
+    circle; the roots on it stay in the outer series (see `FactoredState`).
+    Raises IllConditionedError, from `blaschke_zeros`, when a root lies too
+    near the circle for the coefficients to decide its side.
     """
     n = state.truncation
     base = default_grid_size(n) if grid_size is None else int(grid_size)
-    extraction = blaschke_zeros(state, edge_margin)
+    extraction = blaschke_zeros(state)
     monomial = sum(p for g, p in extraction.zeros if g == 0)
     zeros = tuple((g, p) for g, p in extraction.zeros if g != 0)
     target = np.conj(state.coeffs)
     samples = boundary(state, base)
     if zeros:
-        for (g, _), r in zip(zeros, _rounding_radii(target, zeros)):
-            if not 1.0 - abs(g) > r:
-                raise IllConditionedError(
-                    f"disk zero {g:.6g} is {1.0 - abs(g):.2g} from the unit "
-                    f"circle, within its rounding radius {r:.2g}"
-                )
         points = circle_points(base)
         # B's coefficients decay like |g|^k, so the grid folds them back onto
         # the first N below eps except for zeros near the circle, whose
@@ -566,15 +573,6 @@ def factorize(
         grid_size=base,
         truncation=n,
     )
-
-
-def is_outer(
-    state: FockState,
-    outer_tol: float = DEFAULT_OUTER_TOL,
-    grid_size: int | None = None,
-) -> bool:
-    """Outer-criterion classifier: defect below tolerance."""
-    return outer_defect(state, grid_size=grid_size) < outer_tol
 
 
 def complex_pairs(z) -> list:

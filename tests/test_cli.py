@@ -460,10 +460,6 @@ class TestExitCodes:
             ("bg", '{"kind":"number","m":1}', "--tmax=nan"),
             ("bg", '{"kind":"number","m":1}', "--tmax=inf"),
             ("bg", '{"kind":"number","m":1}', "--arg=-inf"),
-            ("factor", '{"kind":"blaschke","z":[0.5,0]}', "--edge-margin=2"),
-            ("factor", '{"kind":"number","m":1}', "--edge-margin=1"),
-            ("factor", '{"kind":"number","m":1}', "--edge-margin=0"),
-            ("factor", '{"kind":"number","m":1}', "--edge-margin=nan"),
             ("factor", '{"kind":"number","m":1}', "--outer-tol=nan"),
             ("factor", '{"kind":"number","m":1}', "--outer-tol=inf"),
             ("factor", '{"kind":"number","m":1}', "--outer-tol=-1e-6"),
@@ -610,7 +606,7 @@ _STATE_FLAGS = {"--n", "--spec", "--json", "--weyl"}
 _SAMPLED_FLAGS = _STATE_FLAGS | {"--grid", "--format", "--out"}
 _DECLARED = {
     "state": _STATE_FLAGS | {"--format", "--out"},
-    "factor": _STATE_FLAGS | {"--grid", "--outer-tol", "--edge-margin", "--out"},
+    "factor": _STATE_FLAGS | {"--grid", "--outer-tol", "--out"},
     "phase-dist": _SAMPLED_FLAGS,
     "wigner": _SAMPLED_FLAGS | {"--n-max"},
     "bg": _SAMPLED_FLAGS | {"--arg", "--tmax", "--points"},
@@ -631,7 +627,7 @@ class TestOptions:
             for name, p in sub.choices.items()
         }
         assert declared == _DECLARED
-        assert sum(map(len, declared.values())) == 42
+        assert sum(map(len, declared.values())) == 41
 
     @pytest.mark.parametrize(
         "argv",
@@ -639,6 +635,7 @@ class TestOptions:
             ("state", "--grid", "64"),
             ("factor", "--format", "csv"),
             ("bg", "--edge-margin", "0.1"),
+            ("factor", "--edge-margin", "1e-3"),
         ],
     )
     def test_removed_flags_rejected(self, capsys, argv):
@@ -950,16 +947,13 @@ class TestFuzz:
         _FUZZ_SPECS,
         st.integers(1, 32),
         st.none() | st.integers(0, 10).map(lambda k: 2**k),
-        st.none() | st.floats(-0.5, 1.5),
         st.none() | st.floats(allow_nan=True, allow_infinity=True),
         st.none() | st.integers(-2, 300),
     )
-    def test_state_factor_bg(self, command, spec, n, grid, edge_margin, tmax, points):
+    def test_state_factor_bg(self, command, spec, n, grid, tmax, points):
         argv = [command, "--json", json.dumps(spec), "--n", str(n)]
         if command != "state" and grid is not None:
             argv += ["--grid", str(grid)]
-        if command == "factor" and edge_margin is not None:
-            argv += [f"--edge-margin={edge_margin!r}"]
         if command == "bg" and tmax is not None:
             argv += [f"--tmax={tmax!r}"]
         if command == "bg" and points is not None:

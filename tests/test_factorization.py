@@ -20,7 +20,6 @@ from diskphase import (
     eval_Z,
     factorize,
     inner_part,
-    is_outer,
     make_bg,
     make_blaschke_state,
     make_number,
@@ -38,7 +37,6 @@ from diskphase import series as series_module
 from diskphase import verification as ver
 from diskphase.barut_girardello import BGFunction, bg_convolve, bg_factor_parts
 from diskphase.disk import circle_values
-from diskphase.factorization import DEFAULT_EDGE_MARGIN
 from diskphase.series import series_eval, series_mul
 
 from tests.conftest import (
@@ -200,10 +198,11 @@ class TestOuterDefect:
         assert outer_defect(state) == pytest.approx(oracle, abs=1e-4)
 
     def test_classifier(self):
-        assert is_outer(make_su11_cs(0.5, 64))
-        assert is_outer(make_bg(2j, 64))
-        assert is_outer(vacuum_plus(3, 64))
-        assert not is_outer(make_blaschke_state(0.5, 64))
+        for state in (make_su11_cs(0.5, 64), make_bg(2j, 64), vacuum_plus(3, 64)):
+            fac = factorize(state)
+            assert fac.zeros == () and fac.outer_defect == 0.0
+        fac = factorize(make_blaschke_state(0.5, 64))
+        assert len(fac.zeros) == 1 and fac.outer_defect > 0.6
 
 
 class TestBlaschkeZeros:
@@ -230,17 +229,21 @@ class TestBlaschkeZeros:
         z = blaschke_zeros(shift(make_su11_cs(0.5, 32), 2))
         assert z.zeros[0] == (0.0, 2)
 
-    def test_near_edge_separated(self):
-        # polynomial with roots at 0.9995 (unreliable zone) and 0.2
-        poly = np.convolve([-0.9995, 1.0], [-0.2, 1.0])
+    @pytest.mark.parametrize("side", [1.0 - 5e-4, 1.0 - 1e-9, 1.0 + 1e-9])
+    def test_root_near_the_circle_decided_by_its_radius(self, side):
+        """A root 1e-9 from the circle is a million rounding radii away, so
+        it lies on the side it was computed on, inside or out."""
+        poly = np.convolve([-side, 1.0], [-0.2, 1.0])
         state = raw_state(np.conj(poly) / np.linalg.norm(poly))
-        z = blaschke_zeros(state, edge_margin=1e-3)
-        assert len(z.zeros) == 1 and abs(z.zeros[0][0] - 0.2) < 1e-10
-        assert len(z.near_edge) == 1 and abs(z.near_edge[0] - 0.9995) < 1e-10
+        z = blaschke_zeros(state)
+        want = sorted([0.2, side] if side < 1.0 else [0.2])
+        assert [p for _, p in z.zeros] == [1] * len(want)
+        assert np.allclose(sorted(g.real for g, _ in z.zeros), want, rtol=0, atol=1e-15)
+        assert z.near_edge == ()
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            blaschke_zeros(raw_state(np.zeros(4)), 0.1)
+            blaschke_zeros(raw_state(np.zeros(4)))
 
     @pytest.mark.parametrize("exponent", [-2, -1000, -1060])
     def test_subnormal_coefficients_same_zeros(self, exponent):
@@ -258,11 +261,6 @@ class TestBlaschkeZeros:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert blaschke_zeros(raw_state(np.full(2, 5e-324j))).zeros == ()
-
-    @pytest.mark.parametrize("margin", [0.0, 1.0, 2.0, -0.1, math.nan])
-    def test_edge_margin_outside_unit_interval(self, margin):
-        with pytest.raises(DomainError):
-            blaschke_zeros(make_blaschke_state(0.5, 16), margin)
 
 
 class TestContourExtraction:
@@ -299,7 +297,7 @@ class TestContourExtraction:
         ids=["leaves-disk", "same-zero", "not-converged"],
     )
     def test_bad_pencil_seeds_fall_back(self, seeds, monkeypatch):
-        """Seeds that Newton takes outside |z| < 1 - margin, onto one zero
+        """Seeds that Newton takes outside |z| < rho, onto one zero
         twice, or that it cannot bring in within its step budget fail the
         certificate; the companion solve then finds both zeros."""
         poly = np.convolve(np.convolve([-0.5, 1.0], [0.3j, 1.0]), [1.0, -1 / 1.5])
@@ -322,11 +320,12 @@ class TestContourExtraction:
     @pytest.mark.parametrize(
         "newton",
         [lambda poly, z: None, lambda poly, z: np.full_like(z, 0.9999)],
-        ids=["not-converged", "leaves-disk"],
+        ids=["not-converged", "same-zero"],
     )
     def test_fallback_keeps_unpolished_roots(self, newton, monkeypatch):
-        """Newton failing, or taking a zero past r, leaves the companion
-        roots as they are (the contour solve fails the same way first)."""
+        """Newton failing, or taking two zeros onto one point, leaves the
+        companion roots as they are (the contour solve fails the same way
+        first)."""
         poly = np.convolve([-0.5, 1.0], [0.3j, 1.0])
         state = raw_state(np.conj(poly) / np.linalg.norm(poly))
         monkeypatch.setattr(fz_module, "_newton", newton)
@@ -356,47 +355,59 @@ class TestContourExtraction:
 # --- np.roots oracle ----------------------------------------------------------
 
 
-def roots_oracle(state, edge_margin=DEFAULT_EDGE_MARGIN):
-    """Roots of the untrimmed coefficient polynomial, split as
-    blaschke_zeros splits them: the roots inside |z| < 1 - edge_margin, and
-    the count of roots in the annulus 1 - edge_margin <= |z| < 1.
+def roots_oracle(state, side=2.0, tol=1e-6):
+    """Roots of the untrimmed coefficient polynomial, split by the rule of
+    blaschke_zeros: (the roots inside, the roots on the circle, whether a
+    root on it is too uncertain to keep).
 
     np.roots has backward error eps relative to the top coefficient, so
     where the coefficients fall to 1e-306 a root can sit far from where
-    the polynomial vanishes. Each root in the disk is Newton-polished on the
-    same untrimmed polynomial, a step kept only where it lowers |p|. The
-    roots outside stay as they are: from there Newton can run onto a root
-    that another one already found."""
+    the polynomial vanishes. Each root with |gamma| <= 1 + tol is
+    Newton-polished on the same untrimmed polynomial, a step kept only where
+    it lowers |p|. The roots farther out are outside: from there Newton can
+    run onto a root that another one already found. A polished root with
+    radius r = eps (sum |f_n| |gamma|^n / |Z'(gamma)| + |gamma|) is inside
+    when 1 - |gamma| > side r and on the circle when |1 - |gamma|| <= side r."""
     poly = np.conj(state.coeffs)[::-1]
     deriv = np.polyder(poly)
     roots = np.roots(poly)
-    disk = np.abs(roots) < 1.0
-    polished = roots[disk]
+    polished = roots[np.abs(roots) <= 1.0 + tol]
     for _ in range(10):
         step = polished - np.polyval(poly, polished) / np.polyval(deriv, polished)
         lower = np.abs(np.polyval(poly, step)) < np.abs(np.polyval(poly, polished))
         polished = np.where(lower, step, polished)
-    roots[disk] = polished
-    mods = np.abs(roots)
-    inside = roots[mods < 1.0 - edge_margin]
-    return inside, int(np.count_nonzero((mods >= 1.0 - edge_margin) & (mods < 1.0)))
+    mods = np.abs(polished)
+    eps = np.finfo(float).eps
+    size = np.polyval(np.abs(poly), mods)
+    radii = side * eps * (size / np.abs(np.polyval(deriv, polished)) + mods)
+    gap = 1.0 - mods
+    edge = np.abs(gap) <= radii
+    return polished[gap > radii], polished[edge], bool(np.any(radii[edge] > tol))
+
+
+def assert_same_roots(found, want):
+    found = list(found)
+    assert len(found) == len(want), (found, want)
+    for root in want:
+        distances = [abs(root - g) for g in found]
+        nearest = int(np.argmin(distances))
+        assert distances[nearest] < 1e-8, (root, found)
+        found.pop(nearest)
 
 
 def assert_matches_oracle(state):
     with np.errstate(all="ignore"):
         try:
-            inside, edge_count = roots_oracle(state)
+            inside, edge, refused = roots_oracle(state)
         except np.linalg.LinAlgError:
             return  # the oracle itself fails on a subnormal tail
+    if refused:
+        with pytest.raises(IllConditionedError):
+            blaschke_zeros(state)
+        return
     found = blaschke_zeros(state)
-    assert len(found.near_edge) == edge_count
-    reported = [g for g, p in found.zeros for _ in range(p)]
-    assert len(reported) == inside.size
-    for root in inside:
-        distances = [abs(root - g) for g in reported]
-        nearest = int(np.argmin(distances))
-        assert distances[nearest] < 1e-8, (root, found.zeros)
-        reported.pop(nearest)
+    assert_same_roots([g for g, p in found.zeros for _ in range(p)], inside)
+    assert_same_roots(found.near_edge, edge)
 
 
 def series_product_state(gammas, rhos, n):
@@ -464,6 +475,11 @@ def test_seeded_sweep_matches_roots_oracle():
     for n in (8, 24, 64, 128):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert_matches_oracle(raw_state(c / np.linalg.norm(c)))
+    # roots on the circle, and one that crosses it
+    for m in range(1, 9):
+        assert_matches_oracle(vacuum_plus(m, 64))
+    for offset in (-1e-5, 0.0, 1e-5):
+        assert_matches_oracle(make_pi_superposition(0.8, TAU_CRITICAL + offset, 96))
 
 
 def spread_series_product(seed, k, n=256):
@@ -510,7 +526,7 @@ def test_winding_and_power_sums_match_direct_oracles(k, seed):
     """Both circles in one transform give the per-circle counts and samples
     bit for bit; the FFT power sums match the table of powers to rounding."""
     poly = np.conj(spread_series_product(seed, k).coeffs)
-    radius, grid = 1.0 - DEFAULT_EDGE_MARGIN, 1024
+    radius, grid = fz_module._CONTOUR_RADIUS, 1024
     outer_count, count, log_derivative = fz_module._winding(poly, radius, grid)
     assert outer_count == winding_oracle(poly, 1.0, grid)[0]
     oracle_count, oracle_samples = winding_oracle(poly, radius, grid)
@@ -723,14 +739,27 @@ class TestSplitFromZeros:
         assert fac.inner_boundary_deviation <= 1e-12
 
     @pytest.mark.parametrize("n", [96, 256])
-    @pytest.mark.parametrize("offset", [-1e-2, -1e-3, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "offset", [-1e-2, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 1e-2]
+    )
     def test_outer_defect_is_jensen_sum_near_the_circle(self, offset, n):
+        """The zero crosses the circle at tau_c; 1e-5 past it, |gamma| is
+        0.99998975 and its rounding radius 2e-15, so it is decided."""
         tau = TAU_CRITICAL + offset
         gamma = 1j / math.tan(tau / 2) / 0.8
         fac = factorize(make_pi_superposition(0.8, tau, n))
-        expected = jensen_sum([(gamma, 1)]) if abs(gamma) < 1 else 0.0
-        assert len(fac.zeros) == (abs(gamma) < 1)
-        assert abs(fac.outer_defect - expected) <= 1e-12
+        assert fac.near_edge == ()
+        if offset < 0:
+            assert abs(gamma) > 1 and fac.zeros == () and fac.outer_defect == 0.0
+        else:
+            assert len(fac.zeros) == 1 and abs(fac.zeros[0][0] - gamma) <= 1e-12
+            assert abs(fac.outer_defect - jensen_sum([(gamma, 1)])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [96, 256])
+    def test_zero_on_the_circle_at_the_critical_angle(self, n):
+        fac = factorize(make_pi_superposition(0.8, TAU_CRITICAL, n))
+        assert fac.zeros == () and fac.outer_defect == 0.0
+        assert len(fac.near_edge) == 1 and abs(fac.near_edge[0] - 1j) <= 1e-12
 
     @pytest.mark.parametrize("grid", [None, 512])
     @pytest.mark.parametrize("m", range(1, 9))
@@ -741,27 +770,36 @@ class TestSplitFromZeros:
         assert abs(fac.singular_defect) <= 1e-12
         assert not fac.singular_suspected
 
-    @pytest.mark.parametrize("n", [96, 256])
-    def test_near_edge_root_stays_in_the_outer_series(self, n):
-        """A root in the edge band is left out of B: the outer series keeps
-        it and the outer defect leaves it out."""
-        tau = TAU_CRITICAL + 1e-4
-        gamma = 1j / math.tan(tau / 2) / 0.8
-        state = make_pi_superposition(0.8, tau, n)
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_near_edge_root_stays_in_the_outer_series(self, m, n):
+        """The m roots of 1 + z^m lie on the circle: all of them are in
+        `near_edge`, B is empty and the outer series is the state."""
+        state = vacuum_plus(m, n)
         fac = factorize(state)
-        assert fac.zeros == () and len(fac.near_edge) == 1
-        assert abs(fac.near_edge[0] - gamma) <= 1e-12
-        assert fac.outer_defect == 0.0
+        assert fac.zeros == () and fac.outer_defect == 0.0
+        roots = np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
+        assert_same_roots(fac.near_edge, roots)
         target = np.conj(state.coeffs)
         phase = fac.outer_coeffs[0] / target[0]
         assert abs(abs(phase) - 1.0) <= 1e-15
         assert np.max(np.abs(fac.outer_coeffs - phase * target)) <= 1e-15
-        assert abs(series_eval(fac.outer_coeffs, gamma)) <= 1e-14
         assert abs(fac.inner_coeffs[0] * phase - 1.0) <= 1e-15
         assert np.all(fac.inner_coeffs[1:] == 0)
-        # the Jensen gap sees the root, to the grid's quadrature accuracy
-        assert 0.0 < fac.singular_defect < math.log(1.0 / abs(gamma))
-        assert not fac.singular_suspected
+        assert fac.inner_boundary_deviation <= 1e-12
+        assert abs(fac.singular_defect) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_rotated_circle_roots_stay_on_the_circle(self, n):
+        """The roots of 1 + e^(i phi) z^m come out of Newton up to one ulp
+        off the circle, farther than their Mosier radius 2 eps / m; the
+        rounding of gamma itself, eps |gamma|, keeps them on it."""
+        rng = np.random.default_rng(7)
+        for m in range(1, 41):
+            phase = np.exp(2j * np.pi * rng.random())
+            state = superpose([make_number(0, n), make_number(m, n)], [1.0, phase])
+            fac = factorize(state)
+            assert fac.zeros == () and len(fac.near_edge) == m, (m, phase)
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_catalog_residual_at_rounding(self, n):
@@ -898,17 +936,22 @@ def test_fft_inner_tail_keeps_plane_convolution(name, monkeypatch):
 
 class TestSingularDetection:
     def test_truncation_emulates_by_near_edge_roots(self):
-        """With the default margin the emulating root cluster balances the defect."""
+        """The truncation's roots near the circle balance the defect."""
         fac = factorize(singular_test_state())
         assert not fac.singular_suspected
         assert len(fac.zeros) >= 5
         assert all(abs(g) > 0.9 for g, _ in fac.zeros)
         assert fac.outer_defect == pytest.approx(0.4, abs=0.05)
 
-    def test_flagged_when_edge_roots_excluded(self):
-        fac = factorize(singular_test_state(), edge_margin=0.08)
+    def test_flagged_when_zeros_are_withheld(self, monkeypatch):
+        """The Jensen gap sees zeros that B leaves out."""
+        state = singular_test_state()
+        found = blaschke_zeros(state)
+        assert sum(p for g, p in found.zeros if abs(g) > 0.9) >= 5
+        withheld = fz_module.DiskZeros((), ())
+        monkeypatch.setattr(fz_module, "blaschke_zeros", lambda state: withheld)
+        fac = factorize(state)
         assert fac.zeros == ()
-        assert len(fac.near_edge) >= 5
         assert fac.singular_suspected
         assert fac.singular_defect == pytest.approx(0.4, abs=0.05)
 
@@ -944,24 +987,39 @@ def test_random_product_states_classified(g1, g2):
     assert not fac.singular_suspected
 
 
-def test_outer_plus_vacuum_theorem():
-    """Superposing any inner state with the vacuum lands in the outer class.
-
-    The superposition's boundary function vanishes where the all-pass part
-    hits -1. For real parameters that angle is pi, which the nested midpoint
-    grids cancel exactly; a complex parameter puts the zero at a generic
-    angle where the log-modulus quadrature keeps an O(1/M) floor, so that
-    case is classified at the documented coarser tolerance.
-    """
-    for inner_state in (
+@pytest.mark.parametrize(
+    "inner_state",
+    [
         make_number(4, 64),
         make_blaschke_state(0.5, 64),
         make_blaschke_state(-0.6, 64),
-    ):
-        combo = superpose([inner_state, make_number(0, 64)], [1.0, 1.0])
-        assert is_outer(combo, grid_size=1024)
-    skew = superpose(
-        [make_blaschke_state(-0.3 + 0.45j, 64), make_number(0, 64)], [1.0, 1.0]
-    )
-    assert is_outer(skew, outer_tol=1e-2, grid_size=1024)
-    assert blaschke_zeros(skew).zeros == ()
+        make_blaschke_state(-0.3 + 0.45j, 64),
+    ],
+    ids=["number4", "blaschke0.5", "blaschke-0.6", "skew"],
+)
+def test_outer_plus_vacuum_theorem(inner_state):
+    """Superposing any inner state with the vacuum lands in the outer class.
+
+    The superposition's boundary function vanishes where the all-pass part
+    hits -1, on the circle, so B has no zeros (a complex parameter puts the
+    zero at a generic angle, which the split from the zeros decides as
+    exactly as any other).
+    """
+    combo = superpose([inner_state, make_number(0, 64)], [1.0, 1.0])
+    fac = factorize(combo, grid_size=1024)
+    assert fac.zeros == () and fac.outer_defect == 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="leading coefficients <= 1e-14 max|f| count as a monomial factor",
+)
+def test_small_zeros_are_not_read_as_a_monomial():
+    """13 zeros of modulus 0.06 make f_0 = 0.06^13 = 1.3e-16: the zeros are
+    simple and distinct from the origin, but the monomial rule reports
+    one 13-fold zero at 0."""
+    gammas = 0.06 * np.exp(2j * np.pi * np.arange(13) / 13)
+    state = raw_state(np.conj(blaschke_product([(g, 1) for g in gammas], 64)))
+    zeros = blaschke_zeros(state).zeros
+    assert [p for _, p in zeros] == [1] * 13
+    assert_same_roots([g for g, _ in zeros], gammas)
