@@ -13,6 +13,7 @@ or out of memory, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,12 +26,7 @@ from . import verification
 from . import weyl as weyl_mod
 from .disk import boundary, default_grid_size
 from .errors import AliasingError, DiskPhaseError, IllConditionedError, SpecError
-from .factorization import (
-    DEFAULT_OUTER_TOL,
-    complex_pairs,
-    factorization_report,
-    factorize,
-)
+from .factorization import complex_pairs, factorization_report, factorize
 from .states import (
     DEFAULT_TRUNCATION,
     FockState,
@@ -233,8 +229,6 @@ def _check_args(args) -> None:
                 f"grid {m} cannot resolve truncation {args.n}; "
                 "need at least twice the truncation"
             )
-    if "outer_tol" in args and not 0 < args.outer_tol < math.inf:
-        raise SpecError(f"outer tolerance {args.outer_tol} must be finite and positive")
     if args.command == "bg":
         if args.points < 0:
             raise SpecError(f"--points {args.points} must be >= 0")
@@ -307,10 +301,7 @@ def cmd_state(args) -> int:
 
 def cmd_factor(args) -> int:
     state, m = _sampled(args)
-    fac = factorize(state, grid_size=m)
-    report = factorization_report(fac)
-    report["outer"] = fac.outer_defect < args.outer_tol
-    _emit(_json_text(report), args.out)
+    _emit(_json_text(factorization_report(factorize(state, grid_size=m))), args.out)
     return EXIT_OK
 
 
@@ -404,17 +395,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "elapsed_seconds": report.elapsed_seconds,
-            "results": [
-                {
-                    "criterion": r.criterion,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "results": [dataclasses.asdict(r) for r in results],
         }
         _emit(_json_text(payload), args.out)
     else:
@@ -435,7 +416,6 @@ _OPTIONS = {
                 help="truncation (number of coefficients)"),
     "--grid": dict(type=int, default=None,
                    help="boundary grid size (power of two, >= 2N)"),
-    "--outer-tol": dict(type=float, default=DEFAULT_OUTER_TOL),
     "--spec": dict(type=Path, default=None, help="path to a JSON state spec"),
     "--json": dict(type=str, default=None, help="inline JSON state spec"),
     "--weyl": dict(type=str, default=None,
@@ -457,7 +437,7 @@ _SUBCOMMANDS = {
     "state": ("dump coefficients and statistics", cmd_state,
               (*_STATE, "--format", "--out")),
     "factor": ("inner/outer factorisation report (JSON)", cmd_factor,
-               (*_STATE, "--grid", "--outer-tol", "--out")),
+               (*_STATE, "--grid", "--out")),
     "phase-dist": ("boundary function and phase density", cmd_phase_dist, _SAMPLED),
     "wigner": ("joint number-phase lattice", cmd_wigner, (*_SAMPLED, "--n-max")),
     "bg": ("transformed function along a ray", cmd_bg,

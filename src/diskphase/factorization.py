@@ -36,9 +36,11 @@ DEFAULT_OUTER_TOL outside the circle are Newton-polished on the polynomial
 before their side is decided; the roots farther out are outside.
 
 The cepstral route stays available beside `factorize`, which uses none of
-it: `compute_phi` and `refined_phi` take the log-spectrum (the analytic
-completion of ln|boundary|), `outer_part` exponentiates it, `inner_part`
-divides by the result, and `outer_defect` reads its mean.
+it: `compute_phi` takes the log-spectrum (the analytic completion of
+ln|boundary|) on one grid, which `weyl.transformation_check` reads;
+`refined_phi` extrapolates it from two grids, `outer_part` exponentiates
+it, `inner_part` divides by the result, and `outer_defect` reads its mean.
+No library path calls these four.
 """
 
 from __future__ import annotations
@@ -581,8 +583,15 @@ def complex_pairs(z) -> list:
 
 
 def factorization_report(fac: FactoredState) -> dict:
-    """JSON-ready report of a factorisation (complex numbers as [re, im])."""
+    """JSON-ready report of a factorisation (complex numbers as [re, im]).
+
+    `outer` is read off the zero list: true when B is empty and there is no
+    monomial, so that the inner factor is a unimodular constant. Roots in
+    `near_edge` leave a state outer, since an outer function may vanish on
+    the circle.
+    """
     return {
+        "outer": not fac.zeros and fac.monomial_degree == 0,
         "outer_coeffs": complex_pairs(fac.outer_coeffs),
         "inner_coeffs": complex_pairs(fac.inner_coeffs),
         "zeros": [

@@ -85,7 +85,6 @@ class CatalogEntry:
     name: str
     state: FockState
     boundary_zero: bool = False
-    outer: bool = True
     # analytic disk zeros (gamma, multiplicity) expected from closed form
     expected_zeros: tuple = ()
 
@@ -119,7 +118,6 @@ def build_catalog(truncation: int = 64) -> list[CatalogEntry]:
             CatalogEntry(
                 f"blaschke[{z0}]",
                 make_blaschke_state(z0, n),
-                outer=False,
                 expected_zeros=((complex(z0), 1),),
             )
         )
@@ -131,13 +129,11 @@ def build_catalog(truncation: int = 64) -> list[CatalogEntry]:
     ]
     for z0, tau in sup_params:
         gamma = _pi_sup_zero(z0, tau)
-        inner_regime = abs(gamma) < 1.0
         entries.append(
             CatalogEntry(
                 f"superposition[{z0},{tau:.3f}]",
                 make_pi_superposition(z0, tau, n),
-                outer=not inner_regime,
-                expected_zeros=((gamma, 1),) if inner_regime else (),
+                expected_zeros=((gamma, 1),) if abs(gamma) < 1.0 else (),
             )
         )
     for m in range(1, 9):
@@ -185,12 +181,12 @@ def check_outer_defect() -> tuple[float, ...]:
     worst_zero_dev = 0.0
     catalog = _factored(64, 512)
     for entry, fac, _ in catalog:
-        if entry.outer and abs(entry.state.coeffs[0]) > 0:
-            worst_outer = max(worst_outer, abs(fac.outer_defect))
-        elif entry.expected_zeros:
+        if entry.expected_zeros:
             worst_zero_dev = max(
                 worst_zero_dev, abs(fac.outer_defect - entry.expected_defect)
             )
+        elif abs(entry.state.coeffs[0]) > 0:
+            worst_outer = max(worst_outer, abs(fac.outer_defect))
     half = next(fac for entry, fac, _ in catalog if entry.name == "blaschke[0.5]")
     return worst_outer, worst_zero_dev, abs(half.outer_defect - math.log(2.0))
 

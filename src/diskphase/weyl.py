@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import eval_Z
+from .disk import boundary, default_grid_size, eval_Z
 from .errors import DomainError
-from .factorization import factorize, refined_phi
+from .factorization import compute_phi, factorize
 from .series import series_eval
 from .states import FockState
 
@@ -104,7 +104,8 @@ def transformation_check(
     Checks Z(g; z) = e^{-i gamma} z^m Z(f; z e^{-i beta}), the invariance of
     the log-spectrum up to argument rotation, and the matching law for the
     inner part, at 21 interior points on the circles of radius 0.2, 0.45
-    and 0.7.
+    and 0.7. Both log-spectra have N + m terms and come from one grid,
+    the default for N + m levels.
     """
     g = apply(w, state)
     zs = _SAMPLE_POINTS
@@ -114,8 +115,9 @@ def transformation_check(
     rhs = np.exp(-1j * w.gamma) * zs**w.m * eval_Z(state, rotated)
     analytic = float(np.max(np.abs(lhs - rhs)))
 
-    phi_f = refined_phi(state, state.truncation).phi
-    phi_g = refined_phi(g, g.truncation).phi
+    levels = g.truncation
+    grid = default_grid_size(levels)
+    phi_f, phi_g = (compute_phi(boundary(s, grid), levels).phi for s in (state, g))
     phi = float(
         np.max(np.abs(series_eval(phi_g, zs) - series_eval(phi_f, rotated)))
     )

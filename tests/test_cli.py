@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -139,6 +140,21 @@ class TestFactorCommand:
         inner = [complex(re, im) for re, im in rep["inner_coeffs"]]
         assert inner[3] == pytest.approx(1.0, abs=1e-10)
 
+
+    @pytest.mark.parametrize("n", [96, 256])
+    @pytest.mark.parametrize("offset", [-1e-7, 1e-10, 1e-9, 1e-8, 1e-7, 3e-7])
+    def test_outer_verdict_follows_the_zero_across_the_circle(self, capsys, n, offset):
+        """Past tau_c the zero is inside the circle by 1.025 times the offset
+        (tau is 1.792110869142688 at 1e-7), far beyond its rounding radius,
+        so B holds it and the state is not outer however small its defect."""
+        tau = 2.0 * math.atan(1.0 / 0.8) + offset
+        spec = json.dumps({"kind": "pi_superposition", "z": [0.8, 0], "tau": tau})
+        code, out, err = run(capsys, "factor", "--n", str(n), "--json", spec)
+        assert code == EXIT_OK and err == ""
+        rep = json.loads(out)
+        assert rep["outer"] is (offset < 0)
+        assert len(rep["zeros"]) == (0 if offset < 0 else 1)
+        assert (rep["outer_defect"] > 0) is (offset > 0)
 
     def test_subnormal_tail_state(self, capsys):
         code, out, err = run(capsys, "factor", "--json", '{"kind":"bg","u":[1,0]}')
@@ -460,9 +476,6 @@ class TestExitCodes:
             ("bg", '{"kind":"number","m":1}', "--tmax=nan"),
             ("bg", '{"kind":"number","m":1}', "--tmax=inf"),
             ("bg", '{"kind":"number","m":1}', "--arg=-inf"),
-            ("factor", '{"kind":"number","m":1}', "--outer-tol=nan"),
-            ("factor", '{"kind":"number","m":1}', "--outer-tol=inf"),
-            ("factor", '{"kind":"number","m":1}', "--outer-tol=-1e-6"),
         ],
     )
     def test_option_out_of_range(self, capsys, command, spec, option):
@@ -606,7 +619,7 @@ _STATE_FLAGS = {"--n", "--spec", "--json", "--weyl"}
 _SAMPLED_FLAGS = _STATE_FLAGS | {"--grid", "--format", "--out"}
 _DECLARED = {
     "state": _STATE_FLAGS | {"--format", "--out"},
-    "factor": _STATE_FLAGS | {"--grid", "--outer-tol", "--out"},
+    "factor": _STATE_FLAGS | {"--grid", "--out"},
     "phase-dist": _SAMPLED_FLAGS,
     "wigner": _SAMPLED_FLAGS | {"--n-max"},
     "bg": _SAMPLED_FLAGS | {"--arg", "--tmax", "--points"},
@@ -627,7 +640,7 @@ class TestOptions:
             for name, p in sub.choices.items()
         }
         assert declared == _DECLARED
-        assert sum(map(len, declared.values())) == 41
+        assert sum(map(len, declared.values())) == 40
 
     @pytest.mark.parametrize(
         "argv",
@@ -636,6 +649,7 @@ class TestOptions:
             ("factor", "--format", "csv"),
             ("bg", "--edge-margin", "0.1"),
             ("factor", "--edge-margin", "1e-3"),
+            ("factor", "--outer-tol", "1e-6"),
         ],
     )
     def test_removed_flags_rejected(self, capsys, argv):
@@ -824,6 +838,12 @@ class TestVerifyCommand:
     def test_unknown_filter(self, capsys):
         code, _, _ = run(capsys, "verify", "--only", "nonexistent-check")
         assert code == EXIT_SPEC
+
+    def test_json_records_are_the_check_results(self, capsys):
+        code, out, _ = run(capsys, "verify", "--only", "kernel", "--format", "json")
+        assert code == EXIT_OK
+        expected = verification.run_matching("kernel").results
+        assert json.loads(out)["results"] == [dataclasses.asdict(r) for r in expected]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

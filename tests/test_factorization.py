@@ -31,13 +31,17 @@ from diskphase import (
     refined_phi,
     superpose,
 )
+from diskphase import cli as cli_module
 from diskphase import disk as disk_module
 from diskphase import factorization as fz_module
 from diskphase import series as series_module
 from diskphase import verification as ver
+from diskphase import weyl as weyl_module
 from diskphase.barut_girardello import BGFunction, bg_convolve, bg_factor_parts
 from diskphase.disk import circle_values
+from diskphase.factorization import factorization_report
 from diskphase.series import series_eval, series_mul
+from diskphase.weyl import WeylElement, transformation_check
 
 from tests.conftest import (
     bit_equal,
@@ -740,15 +744,18 @@ class TestSplitFromZeros:
 
     @pytest.mark.parametrize("n", [96, 256])
     @pytest.mark.parametrize(
-        "offset", [-1e-2, -1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3, 1e-2]
+        "offset",
+        [-1e-2, -1e-3, -1e-4, -1e-5, -1e-7, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2],
     )
     def test_outer_defect_is_jensen_sum_near_the_circle(self, offset, n):
         """The zero crosses the circle at tau_c; 1e-5 past it, |gamma| is
-        0.99998975 and its rounding radius 2e-15, so it is decided."""
+        0.99998975 and its rounding radius 2e-15, so it is decided, and so
+        it is 1e-9 past it. The report is outer exactly when B is empty."""
         tau = TAU_CRITICAL + offset
         gamma = 1j / math.tan(tau / 2) / 0.8
         fac = factorize(make_pi_superposition(0.8, tau, n))
         assert fac.near_edge == ()
+        assert factorization_report(fac)["outer"] is (offset < 0)
         if offset < 0:
             assert abs(gamma) > 1 and fac.zeros == () and fac.outer_defect == 0.0
         else:
@@ -803,8 +810,15 @@ class TestSplitFromZeros:
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_catalog_residual_at_rounding(self, n):
+        """Each catalog state reconstructs at rounding, and its report is
+        outer exactly when it has neither a disk zero nor a monomial, as the
+        closed forms say."""
         for entry in ver.build_catalog(n):
-            assert factorize(entry.state).reconstruction_residual <= 1e-15
+            fac = factorize(entry.state)
+            assert fac.reconstruction_residual <= 1e-15
+            outer = not fac.zeros and fac.monomial_degree == 0
+            assert factorization_report(fac)["outer"] is outer
+            assert outer == (not entry.expected_zeros and entry.state.coeffs[0] != 0)
 
     @pytest.mark.parametrize(
         "state",
@@ -841,18 +855,28 @@ class TestSplitFromZeros:
         assert fac.outer_coeffs[0].real > 0 and fac.outer_coeffs[0].imag == 0
         assert abs(fac.outer_defect - math.log(8.0)) <= 1e-12
 
-    def test_no_log_spectrum_on_the_path(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("factorize called a log-spectrum stage")
+    def test_no_log_spectrum_on_the_path(self, monkeypatch, capsys):
+        """No library path calls the two-grid log-spectrum, its exponential,
+        the quotient by it or the cepstral outer defect."""
 
-        for name in ("refined_phi", "outer_part", "inner_part"):
-            monkeypatch.setattr(fz_module, name, refuse)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a library path called a log-spectrum stage")
+
+        for module in (fz_module, weyl_module, ver, cli_module):
+            for name in ("refined_phi", "outer_part", "inner_part", "outer_defect"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         for state in (
             make_pi_superposition(0.8, 3 * math.pi / 4, 64),
             vacuum_plus(3, 64),
             make_su11_cs(0.5, 64),
         ):
             factorize(state)
+            transformation_check(WeylElement(2, 0.7, 0.3), state)
+        assert ver.run_all().all_passed
+        spec = '{"kind":"pi_superposition","z":[0.8,0],"tau":2.356}'
+        assert cli_module.main(["factor", "--json", spec]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
